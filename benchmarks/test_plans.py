@@ -1,4 +1,4 @@
-"""Wall-clock of ahead-of-time serving plans on the paper workload.
+"""Wall-clock of the serving executor (arena plans) on the paper workload.
 
 Builds the full-width ISOLET shape — a 617 → 10,000 nonlinear encoder
 (FC→TANH) feeding a 10,000 → 26 classifier (FC→ARGMAX) — and measures
@@ -9,11 +9,12 @@ one batch-64 invocation through:
   kernels, see ``BENCH_fastpath.json``);
 - **plan**: the arena-backed :class:`~repro.runtime.plan.ModelPlan` —
   preallocated scratch, ``out=``-kernels and (where the CPU allows)
-  the AVX-512 VNNI fused microkernel.
+  the AVX-512 VNNI fused microkernel — the executor the server runs
+  every batch through.
 
 Predictions are byte-compared against the frozen ``run_reference``
 oracle chain; the speedup and a sustained-throughput run of the
-plan-enabled :class:`~repro.serving.server.InferenceServer` land in
+:class:`~repro.serving.server.InferenceServer` land in
 ``BENCH_plans.json`` (CI uploads it) and ``bench_results.txt``.
 
 Acceptance: ≥ 3x over the fast path at batch 64 with the native kernel
@@ -29,10 +30,10 @@ import time
 import numpy as np
 
 from repro import native
-from repro.config import PlanConfig, ServeConfig
+from repro.config import ServeConfig
 from repro.edgetpu import DevicePool, compile_model
 from repro.experiments.report import format_table
-from repro.runtime.plan import ModelPlan, bucket_ladder
+from repro.runtime.plan import ModelPlan
 from repro.serving import InferenceServer
 from repro.serving.arrivals import Request
 from repro.tflite import FlatModel, Interpreter, TensorSpec
@@ -91,7 +92,7 @@ def _best_of(fn, *args) -> float:
 
 
 def _sustained_serving(model: FlatModel) -> dict:
-    """Wall-clock the plan-enabled server on a saturating trace."""
+    """Wall-clock the server on a saturating trace."""
     rng = np.random.default_rng(23)
     features = rng.uniform(-4, 4,
                            (SERVE_REQUESTS, FEATURES)).astype(np.float32)
@@ -101,8 +102,7 @@ def _sustained_serving(model: FlatModel) -> dict:
                 features=features[i], label=0)
         for i in range(SERVE_REQUESTS)
     ]
-    config = ServeConfig(max_batch=BATCH, max_queue=SERVE_REQUESTS,
-                         plan=PlanConfig())
+    config = ServeConfig(max_batch=BATCH, max_queue=SERVE_REQUESTS)
     compiled = compile_model(model)
     pool = DevicePool(1, compiled.arch)
     pool.load_replicated(compiled)
@@ -122,14 +122,15 @@ def _sustained_serving(model: FlatModel) -> dict:
     }
 
 
-def test_plan_speedup_and_bit_identity(record_result):
+def test_plan_speedup_and_bit_identity(record_result, monkeypatch):
     rng = np.random.default_rng(7)
     model = _full_width_model(rng)
+    compiled = compile_model(model)
     interpreter = Interpreter(model)
     floats = rng.uniform(-4, 4, (BATCH, FEATURES)).astype(np.float32)
     x = model.input_spec.qparams.quantize(floats)
 
-    plan = ModelPlan.for_model(model, bucket_ladder(BATCH))
+    plan = ModelPlan(compiled, BATCH)
 
     # --- bit-identity gates -----------------------------------------
     reference = _reference_predictions(model, x)
@@ -140,9 +141,11 @@ def test_plan_speedup_and_bit_identity(record_result):
     planned = np.asarray(plan.run_host(q), dtype=np.int64)
     assert planned.tobytes() == reference.tobytes(), \
         "plan diverged from the frozen oracle"
-    # The numpy arena path must agree byte-for-byte with the native one.
-    numpy_plan = ModelPlan.for_model(model, bucket_ladder(BATCH),
-                                     allow_native=False)
+    # The numpy arena path (the only one on CPUs without VNNI) must
+    # agree byte-for-byte with the native one.
+    with monkeypatch.context() as patch:
+        patch.setattr(native, "available", lambda: False)
+        numpy_plan = ModelPlan(compiled, BATCH)
     numpy_q = numpy_plan.stage(floats)
     assert np.asarray(numpy_plan.run_host(numpy_q)).tobytes() \
         == reference.tobytes()
@@ -165,7 +168,7 @@ def test_plan_speedup_and_bit_identity(record_result):
         },
         "repeats": REPEATS,
         "native_kernel": plan.native,
-        "buckets": list(plan.buckets),
+        "max_rows": plan.max_rows,
         "fastpath_seconds": fastpath_s,
         "plan_seconds": plan_s,
         "numpy_plan_seconds": numpy_plan_s,
@@ -217,12 +220,12 @@ def test_plan_steady_state_is_deterministic():
     """Back-to-back plan invokes on the same arena agree byte-for-byte."""
     rng = np.random.default_rng(11)
     model = _full_width_model(rng)
-    plan = ModelPlan.for_model(model, bucket_ladder(BATCH))
+    plan = ModelPlan(compile_model(model), BATCH)
     floats = rng.uniform(-4, 4, (BATCH, FEATURES)).astype(np.float32)
     first = np.array(plan.predict(floats))
     for _ in range(3):
         np.testing.assert_array_equal(np.array(plan.predict(floats)),
                                       first)
-    # Interleaving another batch size does not corrupt the first.
+    # Interleaving another row count does not corrupt the first.
     plan.predict(floats[:5])
     np.testing.assert_array_equal(np.array(plan.predict(floats)), first)

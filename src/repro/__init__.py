@@ -66,7 +66,6 @@ __all__ = [
     "MetricsRegistry",
     "PipelineConfig",
     "PlacementOptimizer",
-    "PlanConfig",
     "ServeConfig",
     "TenantSpec",
     "TierPolicy",
@@ -96,7 +95,6 @@ _LAZY = {
     "PlacementOptimizer": ("repro.runtime.placement",
                            "PlacementOptimizer"),
     "PipelineConfig": ("repro.config", "PipelineConfig"),
-    "PlanConfig": ("repro.config", "PlanConfig"),
     "ServeConfig": ("repro.config", "ServeConfig"),
     "TierPolicy": ("repro.config", "TierPolicy"),
     "TierSpec": ("repro.compression.tiers", "TierSpec"),

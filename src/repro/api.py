@@ -262,11 +262,7 @@ def serve(deployment: Deployment, requests: list[Request], *,
             ``ServeConfig(tracing=True)`` records per-request spans onto
             :attr:`ServeReport.trace <repro.serving.server.ServeReport>`;
             ``ServeConfig(tiers=TierPolicy(...))`` tunes when tiered
-            serving sheds; ``ServeConfig(plan=PlanConfig())`` compiles
-            an ahead-of-time :class:`~repro.runtime.plan.ServingPlan`
-            (arena-backed zero-allocation dispatch with batch
-            bucketing — bit-identical predictions, less host wall
-            time).
+            serving sheds.
         host: Host platform for tails and CPU fallback.
         swapper: Optional hot-swap scheduler bound to the deployment's
             pool.

@@ -27,6 +27,7 @@ from repro.edgetpu.arch import EdgeTpuArch
 from repro.edgetpu.compiler import CompiledModel, compile_model
 from repro.hdc.bagging import FusedHDCModel
 from repro.nn.builder import inference_network
+from repro.runtime.plan import ModelPlan
 from repro.tflite.converter import convert
 
 __all__ = [
@@ -39,6 +40,9 @@ __all__ = [
 ]
 
 _KINDS = ("full", "dpq", "ldc")
+
+# Rows per compiled_predict slice, and the size of its plan's arenas.
+_PREDICT_SLICE = 8192
 
 
 @dataclass(frozen=True)
@@ -171,40 +175,25 @@ class TierSet:
         }
 
 
-def compiled_predict(compiled: CompiledModel, x: np.ndarray, *,
-                     plan=None) -> np.ndarray:
+def compiled_predict(compiled: CompiledModel, x: np.ndarray) -> np.ndarray:
     """Predict through the compiled int8 op chain on the host.
 
-    This is the same fused-stage path the server's CPU fallback runs —
-    bit-identical to what a device returns — so build-time accuracy is
-    exactly served accuracy, not a float approximation of it.
+    Runs the model's :class:`~repro.runtime.plan.ModelPlan` — the
+    executor the server runs every batch through, bit-identical to what
+    a device returns — so build-time accuracy is exactly served
+    accuracy, not a float approximation of it.
 
     Args:
         compiled: The compiled model to run.
         x: Float feature batch.
-        plan: Optional :class:`~repro.runtime.plan.ModelPlan` or
-            :class:`~repro.runtime.plan.ServingPlan` — predictions route
-            through its arenas (bucket by bucket, still bit-identical)
-            instead of allocating per stage.  A ``ServingPlan`` that
-            does not serve ``compiled`` falls back to the classic path.
     """
     x = np.asarray(x, dtype=np.float32)
-    if plan is not None:
-        model_plan = plan.plan_for(compiled) if hasattr(plan, "plan_for") \
-            else plan
-        if model_plan is not None:
-            out = np.empty(len(x), dtype=np.int64)
-            step = model_plan.buckets[-1]
-            for start in range(0, len(x), step):
-                chunk = x[start:start + step]
-                out[start:start + len(chunk)] = model_plan.predict(chunk)
-            return out
-    out = compiled.model.input_spec.qparams.quantize(x)
-    for stage in compiled.host_stages():
-        out = stage(out)
-    if compiled.model.output_is_index:
-        return out[:, 0].astype(np.int64)
-    return np.argmax(out, axis=-1).astype(np.int64)
+    out = np.empty(len(x), dtype=np.int64)
+    plan = ModelPlan(compiled, max(1, min(len(x), _PREDICT_SLICE)))
+    for start in range(0, len(x), _PREDICT_SLICE):
+        out[start:start + _PREDICT_SLICE] = plan.predict(
+            x[start:start + _PREDICT_SLICE])
+    return out
 
 
 def _compile_tier(fused: FusedHDCModel, calibration: np.ndarray,

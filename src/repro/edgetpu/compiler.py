@@ -45,8 +45,8 @@ class CompileError(Exception):
 # Per-(compiled, batch) memo caches are bounded: a long-running server
 # fed adversarial batch sizes must not grow them without limit.  The
 # entries are pure recomputable derivations, so eviction only costs a
-# recomputation, never correctness.  The bound comfortably covers the
-# power-of-two bucket ladder the serving plan restricts batches to.
+# recomputation, never correctness.  The bound covers every batch size
+# of a server batching up to 64 rows.
 _MEMO_CACHE_SIZE = 64
 
 
@@ -183,7 +183,7 @@ class CompiledModel:
 
         One list per compiled model, built on first use and reused by
         every executor that runs this model's TPU subgraph (each pool
-        device, the serving plan) — ``fused_stages`` is documented as
+        device) — ``fused_stages`` is documented as
         "build once and reuse", and this is the once.  The cache is
         keyed by the op-chain identity, so the unlikely event of the
         ``tpu_ops`` list being replaced rebuilds rather than serving a
@@ -195,20 +195,6 @@ class CompiledModel:
             cached = (key, fused_stages(self.tpu_ops))
             self.__dict__["_stages"] = cached
         return cached[1]
-
-    def host_stages(self) -> list:
-        """Fused execution stages for the *whole* model on the host CPU.
-
-        The serving CPU-fallback path runs ``tpu_ops + cpu_ops`` through
-        the same fused kernels the device simulator uses, so degraded
-        predictions stay bit-identical.  Built lazily once per compiled
-        model (the op chain is immutable).
-        """
-        stages = self.__dict__.get("_host_stages")
-        if stages is None:
-            stages = fused_stages(list(self.tpu_ops) + list(self.cpu_ops))
-            self.__dict__["_host_stages"] = stages
-        return stages
 
     def load_seconds(self) -> float:
         """Modeled one-time cost of pushing the model to the device."""

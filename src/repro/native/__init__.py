@@ -24,10 +24,11 @@ This module is *strictly optional* and fails closed:
   numpy oracle before it is ever used;
 - ``REPRO_NATIVE=0`` disables the whole module.
 
-Callers (:mod:`repro.runtime.plan`) must additionally prove, per op,
-that the int32 accumulator cannot overflow — see
-:func:`vnni_accumulator_bound` — and fall back to the BLAS path
-otherwise.
+Callers must additionally prove, per op, that the int32 accumulator
+cannot overflow — see :func:`vnni_accumulator_bound` and
+:meth:`FullyConnectedOp.packed_vnni
+<repro.tflite.ops.FullyConnectedOp.packed_vnni>` — and fall back to the
+BLAS path otherwise.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def _smoke_test(lib: ctypes.CDLL) -> bool:
     offset = rng.integers(-500, 500, size=n, dtype=np.int64)
     mult, zp, qmin, qmax = 0.0125, 3, -128, 127
     lut = IDENTITY_LUT
-    packed = pack_fc(w, offset)
+    packed = pack_fc(w, offset, w.astype(np.int64).sum(axis=0))
     a = _shift_u8(x, packed.k4)
     out = np.empty((m, packed.n_pad), dtype=np.int8)
     lib.fc_fused_i8(
@@ -228,23 +229,30 @@ class PackedFc:
         self.n = n
 
 
-def vnni_accumulator_bound(weights_int8: np.ndarray,
+def vnni_accumulator_bound(column_abs_sum: np.ndarray,
                            offset_int64: np.ndarray) -> int:
     """Worst-case |int32 partial sum| inside the VNNI kernel.
 
     The kernel initializes each accumulator to
     ``offset - 128 * column_sum`` and adds ``(x + 128) * W`` terms with
     ``x + 128`` in ``[0, 255]``, so every intermediate is bounded by
-    ``|offset| + 383 * sum_k |W_kj|``.  The caller must verify the
-    returned bound is ``<= 2^31 - 1`` before using the kernel.
+    ``|offset| + 383 * sum_k |W_kj|``.  ``column_abs_sum`` is that
+    per-column ``sum_k |W_kj|`` (int64), which the op precomputes, so no
+    widened copy of the weights is made here.  The caller must verify
+    the returned bound is ``<= 2^31 - 1`` before using the kernel.
     """
-    col_abs = np.abs(weights_int8.astype(np.int64)).sum(axis=0)
-    bound = np.abs(np.asarray(offset_int64, dtype=np.int64)) + 383 * col_abs
+    bound = (np.abs(np.asarray(offset_int64, dtype=np.int64))
+             + 383 * np.asarray(column_abs_sum, dtype=np.int64))
     return int(bound.max(initial=0))
 
 
-def pack_fc(weights_int8: np.ndarray, offset_int64: np.ndarray) -> PackedFc:
-    """Pack an op's weights + folded offset into the kernel layout."""
+def pack_fc(weights_int8: np.ndarray, offset_int64: np.ndarray,
+            column_sum: np.ndarray) -> PackedFc:
+    """Pack an op's weights + folded offset into the kernel layout.
+
+    ``column_sum`` is the int64 per-column weight sum (precomputed by
+    the op), folded into the offsets for the +128 activation shift.
+    """
     w = np.ascontiguousarray(weights_int8, dtype=np.int8)
     k, n = w.shape
     k4 = -(-k // 4)
@@ -255,9 +263,9 @@ def pack_fc(weights_int8: np.ndarray, offset_int64: np.ndarray) -> PackedFc:
     packed = np.ascontiguousarray(
         wpad.reshape(k4, 4, n_pad // 16, 16).transpose(2, 0, 3, 1)
     )
-    col_sum = w.astype(np.int64).sum(axis=0)
     offs = np.zeros(n_pad, dtype=np.int64)
-    offs[:n] = np.asarray(offset_int64, dtype=np.int64) - 128 * col_sum
+    offs[:n] = (np.asarray(offset_int64, dtype=np.int64)
+                - 128 * np.asarray(column_sum, dtype=np.int64))
     if np.abs(offs).max(initial=0) > _INT32_MAX:
         raise OverflowError("folded offset exceeds int32")
     return PackedFc(packed, offs.astype(np.int32), k4, n_pad, n)

@@ -51,7 +51,6 @@ _EXPORTS = {
     "TrainingPipeline": "repro.runtime.pipeline",
     "WorkerPool": "repro.runtime.executor",
     "Workload": "repro.runtime.costs",
-    "bucket_ladder": "repro.runtime.plan",
     "format_seconds": "repro.runtime.profiler",
     "resolve_shared": "repro.runtime.executor",
     "simulate_makespan": "repro.runtime.executor",

@@ -51,6 +51,7 @@ __all__ = [
     "SharedArray",
     "WorkerPool",
     "cpu_op_seconds",
+    "host_ops_seconds",
     "resolve_shared",
     "run_host_tail",
     "simulate_makespan",
@@ -379,36 +380,55 @@ def cpu_op_seconds(host: Platform, op, rows: int, width: int) -> float:
     return host.elementwise_seconds(rows * width)
 
 
+def host_ops_seconds(compiled, host: "Platform", rows: int, *,
+                     whole_model: bool = False) -> float:
+    """Modeled host seconds of a compiled model's ops on ``rows`` rows.
+
+    The one host-cost formula: each op charged by its actual kind, in
+    op order, plus the final argmax for models whose last op emits
+    activations.  By default it covers the CPU tail after the device
+    (``cpu_ops``, starting at the last device op's width); with
+    ``whole_model=True`` it covers every op from the input — the
+    serving CPU fallback.  Execution dispatch (fused stages, arena
+    plans, native kernels) never enters it.
+    """
+    if whole_model:
+        ops = list(compiled.tpu_ops) + list(compiled.cpu_ops)
+        width = compiled.model.input_spec.size
+    else:
+        ops = compiled.cpu_ops
+        width = compiled.plans[-1].output_dim
+    seconds = 0.0
+    for op in ops:
+        seconds += cpu_op_seconds(host, op, rows, width)
+        width = op.output_dim(width)
+    if not compiled.model.output_is_index:
+        seconds += host.argmax_seconds(rows, width)
+    return seconds
+
+
 def run_host_tail(compiled, outputs: np.ndarray,
                   host: "Platform") -> tuple[np.ndarray, float]:
     """Run a compiled model's CPU tail on device outputs.
 
     Executes the trailing ``cpu_ops`` (for the paper's models, the
     final ARGMAX) on the host and reduces to per-sample class
-    predictions, charging each op by its actual kind plus the final
-    argmax for models whose last op emits activations.  This is the one
-    implementation of the device→host hand-off shared by the
-    micro-batch dispatcher and the serving event loop, so their modeled
-    tails can never drift apart.
+    predictions, charged by :func:`host_ops_seconds` — the formula the
+    serving event loop charges too, so their modeled tails can never
+    drift apart.
 
     Returns:
         ``(predictions, seconds)`` — int64 class indices for the rows
         of ``outputs``, and the modeled host seconds.
     """
-    rows = len(outputs)
-    width = compiled.plans[-1].output_dim
     out = outputs
-    seconds = 0.0
     for op in compiled.cpu_ops:
-        seconds += cpu_op_seconds(host, op, rows, width)
         out = op.run(out)
-        width = op.output_dim(width)
     if compiled.model.output_is_index:
         predictions = out[:, 0]
     else:
-        seconds += host.argmax_seconds(rows, width)
         predictions = np.argmax(out, axis=-1)
-    return predictions, seconds
+    return predictions, host_ops_seconds(compiled, host, len(outputs))
 
 
 @dataclass

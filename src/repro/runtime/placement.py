@@ -331,8 +331,8 @@ class PlacementOptimizer:
 
     Args:
         fleet: The heterogeneous fleet.
-        buckets: Candidate batch buckets (power-of-two ladder by
-            default, matching the serving plan's bucketing).
+        buckets: Candidate batch buckets (a power-of-two ladder by
+            default).
     """
 
     def __init__(self, fleet: FleetSpec,

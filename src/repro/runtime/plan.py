@@ -1,36 +1,29 @@
-"""Ahead-of-time serving plans: arena-backed, zero-allocation dispatch.
+"""Arena-backed execution plans: the server's one int8 executor.
 
-The classic serving path re-derives work per batch: it stacks request
-features into a fresh array, quantizes into another, and every fused
-stage allocates its widened input, accumulator and output.  At edge
-batch sizes the allocator traffic rivals the arithmetic.  A
-:class:`ServingPlan` moves all of that to deployment time:
+A :class:`ModelPlan` resolves one compiled model's op chain once and
+runs every batch through preallocated buffers:
 
-- **Batch bucketing** — incoming batches are padded up to a power-of-
-  two bucket ladder (plus the configured maximum).  Padding rows carry
-  the input zero point (real 0.0), and their outputs are sliced off
-  before anything reads them.  A handful of bucket sizes means every
-  per-``(model, batch)`` memo in the stack — ``lower()`` programs,
-  ``invoke_seconds``, ``invoke_breakdown`` — is prewarmed once and hit
-  forever after.
-- **Arena-backed stages** — each tier's op chain is resolved once into
-  a :class:`ModelPlan`: per fused stage, scratch buffers (widened
+- **Exact row counts** — a batch of ``n`` rows runs, and is charged, as
+  ``n`` rows.  The zero-allocation closures for a row count are bound
+  the first time that count is seen and reused after that.
+- **Arena-backed stages** — per fused stage, scratch buffers (widened
   input, accumulator, float64 codes, gather indices, int8 output) are
-  preallocated at the largest bucket and sliced per bucket.  Steady-
-  state invokes write through ``out=`` numpy kernels (or the native
-  AVX-512 VNNI kernels of :mod:`repro.native` when the CPU and the
-  op's int32 bound allow) and perform **zero heap allocations**.
-- **Shared execution** — the same plan object serves the device
-  simulator (via the ``executor=`` hook on
-  :meth:`~repro.edgetpu.device.EdgeTpuDevice.invoke`), the host
-  CPU-fallback path and every degraded tier, so all paths stay
-  bit-identical to the reference interpreter by construction (the
-  tests assert it against the frozen ``run_reference`` oracles).
+  allocated once, at construction, for ``max_rows`` rows, and sliced
+  per row count.  Warm invokes write through ``out=`` numpy kernels (or
+  the native AVX-512 VNNI kernels of :mod:`repro.native` when the CPU
+  and the op's int32 bound allow) and perform **zero heap
+  allocations**.
+- **Shared execution** — the same plan runs the device stages (via the
+  ``executor=`` hook on :meth:`~repro.edgetpu.device.EdgeTpuDevice.invoke`),
+  the host tail, the CPU fallback, every degraded tier and the
+  cluster's deferred predictions, so all paths stay bit-identical to
+  the reference interpreter by construction (the tests assert it
+  against the frozen ``run_reference`` oracles).
 
 The plan changes *measured wall time only*: modeled virtual-clock
-charges are derived from the same ``invoke_breakdown`` /
-``cpu_op_seconds`` plans as the classic path, evaluated at the padded
-bucket size actually dispatched.
+charges come from ``invoke_breakdown`` and
+:func:`~repro.runtime.executor.host_ops_seconds` at the served row
+count, whichever kernels ran.
 """
 
 from __future__ import annotations
@@ -40,106 +33,70 @@ import numpy as np
 from repro import native
 from repro.tflite.ops import ArgmaxOp, FullyConnectedOp, TanhOp
 
-__all__ = ["ModelPlan", "ServingPlan", "bucket_ladder"]
-
-_INT32_MAX = 2**31 - 1
-
-
-def bucket_ladder(max_batch: int) -> tuple[int, ...]:
-    """The padded batch sizes a plan preallocates for.
-
-    Powers of two up to ``max_batch``, with ``max_batch`` itself
-    appended when it is not a power of two — so no batch pads by more
-    than 2x and the dispatcher's own cap is always representable.
-    """
-    if max_batch < 1:
-        raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-    ladder = []
-    size = 1
-    while size < max_batch:
-        ladder.append(size)
-        size *= 2
-    ladder.append(max_batch)
-    return tuple(ladder)
+__all__ = ["ModelPlan", "ServingPlan"]
 
 
 # ----------------------------------------------------------------------
-# Stage compilation: op chain -> spec list -> per-bucket closures
+# Stage compilation: op chain -> arena stages -> per-row-count closures
 # ----------------------------------------------------------------------
 
 
-def _stage_specs(ops, width: int):
-    """Resolve an op chain into ``(kind, op, fused, in_w, out_w)`` specs.
+def _build_stages(ops, width: int, max_rows: int) -> list:
+    """Resolve an op chain into arena-backed stages.
 
     Mirrors :func:`repro.tflite.ops.fused_stages` pairing: ``FC+TANH``
     becomes one fused stage; ``FC+ARGMAX`` splits into a bare FC plus
     an argmax (bit-identical — requantization is monotone, so argmax
     over int8 codes equals argmax over the float64 codes the fused
     kernel reduces).
+
+    Raises:
+        TypeError: For an op kind with no arena path (none of the
+            repo's models have one), at plan build rather than mid-run.
     """
-    specs = []
+    stages = []
     ops = list(ops)
     index = 0
     while index < len(ops):
         op = ops[index]
-        nxt = ops[index + 1] if index + 1 < len(ops) else None
         if isinstance(op, FullyConnectedOp):
-            out_w = op.output_dim(width)
-            if isinstance(nxt, TanhOp):
-                specs.append(("fc", op, nxt, width, out_w))
-                index += 2
-            elif isinstance(nxt, ArgmaxOp):
-                specs.append(("fc", op, None, width, out_w))
-                specs.append(("argmax", nxt, None, out_w, 1))
-                index += 2
-            else:
-                specs.append(("fc", op, None, width, out_w))
-                index += 1
-            width = out_w
+            nxt = ops[index + 1] if index + 1 < len(ops) else None
+            tanh = nxt if isinstance(nxt, TanhOp) else None
+            stages.append(_FcStage(op, tanh, max_rows))
+            index += 1 if tanh is None else 2
         elif isinstance(op, TanhOp):
-            specs.append(("tanh", op, None, width, width))
+            stages.append(_TanhStage(op, width, max_rows))
             index += 1
         elif isinstance(op, ArgmaxOp):
-            specs.append(("argmax", op, None, width, 1))
+            stages.append(_ArgmaxStage(max_rows))
             index += 1
-            width = 1
         else:
-            # Unknown op kind: correct but allocating (op.run).  None of
-            # the repo's models hit this; the zero-allocation guarantee
-            # covers FC/TANH/ARGMAX chains.
-            specs.append(("generic", op, None, width, op.output_dim(width)))
-            width = op.output_dim(width)
-            index += 1
-    return specs
+            raise TypeError(
+                f"op kind {type(op).__name__} has no arena execution path"
+            )
+        width = op.output_dim(width)
+    return stages
 
 
 class _FcStage:
     """Arena + kernels for one fused ``FC(+TANH)`` stage.
 
-    Dispatches to the native VNNI kernel when the module is available,
-    the requantization multiplier is per-tensor, and the static bound
-    proves the kernel's int32 accumulator cannot overflow; otherwise to
-    the in-place numpy path (``accumulate_into`` / ``requantize_into``
-    on the op).  Both are bit-identical to the op's ``run`` /
+    Dispatches to the native VNNI kernel when the module is available
+    and the op has a VNNI packing (per-tensor multiplier, int32-safe
+    bound — see :meth:`FullyConnectedOp.packed_vnni
+    <repro.tflite.ops.FullyConnectedOp.packed_vnni>`); otherwise to the
+    in-place numpy path (``accumulate_into`` / ``requantize_into`` on
+    the op).  Both are bit-identical to the op's ``run`` /
     ``run_tanh_fused``.
     """
 
     def __init__(self, op: FullyConnectedOp, tanh: TanhOp | None,
-                 max_rows: int, allow_native: bool):
+                 max_rows: int):
         self.op = op
         self.tanh = tanh
         self.n = op.weights.shape[1]
-        self.native = False
-        if (allow_native and native.available()
-                and isinstance(op._multiplier, float)
-                and native.vnni_accumulator_bound(
-                    op.weights, op._offset_i64) <= _INT32_MAX):
-            try:
-                self._packed = native.pack_fc(op.weights, op._offset_i64)
-            except OverflowError:
-                self._packed = None
-            else:
-                self.native = True
+        self._packed = op.packed_vnni() if native.available() else None
+        self.native = self._packed is not None
         if self.native:
             packed = self._packed
             # Shifted-activation buffer: the zero padding in columns
@@ -169,7 +126,7 @@ class _FcStage:
                 self._mult_tile[:] = op._multiplier
 
     def bind(self, rows: int, x_view: np.ndarray):
-        """Build this stage's zero-allocation closure for one bucket.
+        """Build this stage's zero-allocation closure for one row count.
 
         Returns ``(run, out_view)`` where ``run()`` consumes ``x_view``
         in place and ``out_view`` is the stage's int8 output.
@@ -259,18 +216,16 @@ class _ArgmaxStage:
         return run, out
 
 
-class _Bucket:
-    """One padded batch size's precompiled views and closures."""
+class _Binding:
+    """One row count's views and closures."""
 
-    __slots__ = ("rows", "scratch", "q", "device_runs", "device_out",
-                 "tail_runs", "predictions", "executor")
+    __slots__ = ("scratch", "q", "device_out", "tail_runs", "predictions",
+                 "executor")
 
-    def __init__(self, rows, scratch, q, device_runs, device_out,
-                 tail_runs, predictions):
-        self.rows = rows
+    def __init__(self, scratch, q, device_runs, device_out, tail_runs,
+                 predictions):
         self.scratch = scratch
         self.q = q
-        self.device_runs = device_runs
         self.device_out = device_out
         self.tail_runs = tail_runs
         self.predictions = predictions
@@ -288,28 +243,13 @@ class _Bucket:
         self.executor = executor
 
 
-class _HostModel:
-    """Duck-typed ``CompiledModel`` stand-in for a bare :class:`FlatModel`.
-
-    Lets :meth:`ModelPlan.for_model` plan the *whole* op chain as host
-    stages — the reference-interpreter view of the model, with no
-    device/tail split and no lowering plans to derive a tail width from.
-    """
-
-    __slots__ = ("model", "tpu_ops", "cpu_ops", "plans")
-
-    def __init__(self, model):
-        self.model = model
-        self.tpu_ops = list(model.ops)
-        self.cpu_ops = []
-        self.plans = []
-
-
 class ModelPlan:
     """One compiled model's arena-backed execution plan.
 
-    Built once (typically by :class:`ServingPlan`); afterwards the
-    steady-state path
+    Built once per model (by the server's :class:`ServingPlan`, per
+    resident tier; by the cluster's deferred-prediction resolve; by
+    :func:`~repro.compression.tiers.compiled_predict`); after a row
+    count's first use the path
 
     ``stage() -> executor (device) -> run_tail()``
 
@@ -319,232 +259,149 @@ class ModelPlan:
 
     Args:
         compiled: The :class:`~repro.edgetpu.compiler.CompiledModel`.
-        buckets: Padded batch sizes to preallocate (see
-            :func:`bucket_ladder`).
-        allow_native: Permit the AVX-512 VNNI kernels where provably
-            exact (bit-identical either way).
+        max_rows: Largest batch the arenas hold (the server passes its
+            batcher's ``max_batch``).
     """
 
-    def __init__(self, compiled, buckets, allow_native: bool = True):
+    def __init__(self, compiled, max_rows: int):
+        if max_rows < 1:
+            raise ValueError(f"max_rows must be >= 1, got {max_rows}")
         self.compiled = compiled
-        self._allow_native = allow_native
-        self.buckets = tuple(sorted(set(buckets)))
-        if not self.buckets or self.buckets[0] < 1:
-            raise ValueError("buckets must be positive batch sizes")
-        self.max_rows = self.buckets[-1]
+        self.max_rows = max_rows
         self._qparams = compiled.model.input_spec.qparams
         self.in_dim = compiled.model.input_spec.size
-        self._output_is_index = compiled.model.output_is_index
 
-        max_rows = self.max_rows
         self._scratch = np.zeros((max_rows, self.in_dim), dtype=np.float64)
         self._q = np.zeros((max_rows, self.in_dim), dtype=np.int8)
 
-        device_specs = _stage_specs(compiled.tpu_ops, self.in_dim)
-        tail_width = (compiled.plans[-1].output_dim
-                      if compiled.plans else self.in_dim)
-        tail_specs = _stage_specs(compiled.cpu_ops, tail_width)
-        self._device_stages = [self._build_stage(s) for s in device_specs]
-        self._tail_stages = [self._build_stage(s) for s in tail_specs]
+        self._device_stages = _build_stages(compiled.tpu_ops, self.in_dim,
+                                            max_rows)
+        self._tail_stages = _build_stages(
+            compiled.cpu_ops, compiled.plans[-1].output_dim, max_rows)
+        # Models whose last op emits activations get the final argmax
+        # here (mirroring run_host_tail); index-output models end in an
+        # ARGMAX op whose (rows, 1) output is reduced by a view.
+        if not compiled.model.output_is_index:
+            self._tail_stages.append(_ArgmaxStage(max_rows))
         self.native = any(
             isinstance(st, _FcStage) and st.native
             for st in self._device_stages + self._tail_stages
         )
-        # Models whose last op emits activations get the final argmax
-        # here (mirroring run_host_tail); index-output models end in an
-        # ARGMAX op whose (rows, 1) output is reduced by a view.
-        self._final_argmax = (None if self._output_is_index
-                              else _ArgmaxStage(max_rows))
+        self._bound: dict[int, _Binding] = {}
 
-        self._by_rows: dict[int, _Bucket] = {}
-        for rows in self.buckets:
-            self._by_rows[rows] = self._bind_bucket(rows)
-
-    @classmethod
-    def for_model(cls, model, buckets, allow_native: bool = True
-                  ) -> "ModelPlan":
-        """Plan a bare :class:`~repro.tflite.flatmodel.FlatModel`.
-
-        The whole op chain executes host-side through the arenas (no
-        device/tail split) — the zero-allocation counterpart of
-        :meth:`Interpreter.predict
-        <repro.tflite.interpreter.Interpreter.predict>`, bit-identical
-        to it.
-        """
-        return cls(_HostModel(model), buckets, allow_native=allow_native)
-
-    def _build_stage(self, spec):
-        kind, op, fused, in_w, _out_w = spec
-        if kind == "fc":
-            return _FcStage(op, fused, self.max_rows, self._allow_native)
-        if kind == "tanh":
-            return _TanhStage(op, in_w, self.max_rows)
-        if kind == "argmax":
-            return _ArgmaxStage(self.max_rows)
-        # Plans are opt-in: an op kind without an arena path is a
-        # build-time error, never a silent slow path.
-        raise TypeError(
-            f"op kind {type(op).__name__} has no arena execution path"
-        )
-
-    def _bind_bucket(self, rows: int) -> _Bucket:
-        scratch = self._scratch[:rows]
-        q = self._q[:rows]
-        current = q
-        device_runs = []
-        for stage in self._device_stages:
-            run, current = stage.bind(rows, current)
-            device_runs.append(run)
-        device_out = current
-        tail_runs = []
-        for stage in self._tail_stages:
-            run, current = stage.bind(rows, current)
-            tail_runs.append(run)
-        if self._final_argmax is not None:
-            run, current = self._final_argmax.bind(rows, current)
-            tail_runs.append(run)
-        predictions = current[:, 0]
-        return _Bucket(rows, scratch, q, device_runs, device_out,
-                       tail_runs, predictions)
+    def _binding(self, rows: int) -> _Binding:
+        """The views and closures for ``rows`` rows, bound on first use."""
+        binding = self._bound.get(rows)
+        if binding is None:
+            if rows < 1:
+                raise ValueError("cannot run an empty batch")
+            if rows > self.max_rows:
+                raise ValueError(
+                    f"batch of {rows} rows exceeds the plan's "
+                    f"{self.max_rows}"
+                )
+            current = q = self._q[:rows]
+            device_runs = []
+            for stage in self._device_stages:
+                run, current = stage.bind(rows, current)
+                device_runs.append(run)
+            device_out = current
+            tail_runs = []
+            for stage in self._tail_stages:
+                run, current = stage.bind(rows, current)
+                tail_runs.append(run)
+            binding = _Binding(self._scratch[:rows], q, device_runs,
+                               device_out, tail_runs, current[:, 0])
+            self._bound[rows] = binding
+        return binding
 
     # ------------------------------------------------------------------
-    # Steady-state API (all zero-allocation)
+    # Steady-state API (zero-allocation once a row count is bound)
     # ------------------------------------------------------------------
-
-    def bucket_for(self, n: int) -> int:
-        """Smallest preallocated bucket holding ``n`` rows."""
-        for rows in self.buckets:
-            if rows >= n:
-                return rows
-        raise ValueError(
-            f"batch of {n} exceeds the largest plan bucket "
-            f"{self.buckets[-1]}"
-        )
 
     def stage(self, features) -> np.ndarray:
-        """Load a float batch into the arena and quantize it, padded.
+        """Load a float batch into the arena and quantize it.
 
         Args:
             features: A ``(n, in_dim)`` array or a sequence of ``n``
                 1-D feature rows.
 
         Returns:
-            The padded int8 input view, ``(bucket_for(n), in_dim)``.
-            Padding rows quantize real 0.0 — exactly the input zero
-            point — and their outputs are sliced off downstream.
+            The int8 input view, ``(n, in_dim)`` — bit-identical to
+            ``input_spec.qparams.quantize``.
         """
-        n = len(features)
-        bucket = self._by_rows[self.bucket_for(n)]
+        binding = self._binding(len(features))
         if isinstance(features, np.ndarray):
-            bucket.scratch[:n] = features
+            binding.scratch[...] = features
         else:
             for i, row in enumerate(features):
-                bucket.scratch[i] = row
-        if n < bucket.rows:
-            bucket.scratch[n:] = 0.0
-        self._qparams.quantize_into(bucket.scratch, bucket.q,
-                                    bucket.scratch)
-        return bucket.q
+                binding.scratch[i] = row
+        self._qparams.quantize_into(binding.scratch, binding.q,
+                                    binding.scratch)
+        return binding.q
 
     def executor_for(self, rows: int):
-        """The device-executor closure for one bucket size.
+        """The device-executor closure for ``rows`` rows.
 
         Pass to :meth:`EdgeTpuDevice.invoke(..., executor=...)
         <repro.edgetpu.device.EdgeTpuDevice.invoke>`: it runs the
         arena-backed device stages in place of the interpreted stage
         loop, bit-identically, and returns the device-output view.
         """
-        return self._by_rows[rows].executor
+        return self._binding(rows).executor
 
     def run_tail(self, outputs: np.ndarray) -> np.ndarray:
-        """Host tail on device outputs; returns int64 predictions.
-
-        The returned view covers the *padded* rows; slice ``[:n]`` for
-        the real requests.
-        """
-        bucket = self._by_rows[outputs.shape[0]]
-        if outputs is not bucket.device_out:
-            np.copyto(bucket.device_out, outputs)
-        for run in bucket.tail_runs:
+        """Host tail on device outputs; returns the int64 predictions
+        as a view into the plan's buffer."""
+        binding = self._binding(outputs.shape[0])
+        if outputs is not binding.device_out:
+            np.copyto(binding.device_out, outputs)
+        for run in binding.tail_runs:
             run()
-        return bucket.predictions
+        return binding.predictions
 
     def run_host(self, q: np.ndarray) -> np.ndarray:
         """Full chain on the host (CPU-fallback path); predictions view."""
-        bucket = self._by_rows[q.shape[0]]
-        outputs = bucket.executor(q)
-        return self.run_tail(outputs)
+        return self.run_tail(self._binding(q.shape[0]).executor(q))
 
     def predict(self, features) -> np.ndarray:
-        """Convenience: quantize + device stages + tail, sliced to ``n``.
+        """Quantize + device stages + tail on the host.
 
         Returns a *view* into the plan's prediction buffer — copy it if
-        it must survive the next invoke.
+        it must survive the next call.
         """
-        n = len(features)
-        q = self.stage(features)
-        return self.run_host(q)[:n]
+        return self.run_host(self.stage(features))
 
 
 class ServingPlan:
-    """The server's ahead-of-time plan across every resident tier.
+    """The server's plans across every resident tier.
 
-    Compiles a :class:`ModelPlan` per tier, prewarms the lowering and
-    latency memos for every (tier, bucket) pair, and survives hot swaps
-    via :meth:`replace_primary` (only tier 0's plan is rebuilt; the
-    degradation ladder keeps its arenas).
+    One :class:`ModelPlan` per tier, tier 0 first, all sized for the
+    server's largest batch.  A hot swap rebuilds only tier 0's plan
+    (:meth:`replace_primary`); degraded tiers keep their arenas.
 
     Args:
         tiers: Compiled models, tier 0 first (a single-model server
             passes a one-element list).
-        max_bucket: Largest padded batch (usually the batcher's
-            ``max_batch``).
-        allow_native: Permit the native VNNI kernels.
-        prewarm: Pre-fill ``lower()`` / ``invoke_seconds`` /
-            ``invoke_breakdown`` for every (tier, bucket) pair.
+        max_rows: Largest batch (the batcher's ``max_batch``).
     """
 
-    def __init__(self, tiers, max_bucket: int, allow_native: bool = True,
-                 prewarm: bool = True):
+    def __init__(self, tiers, max_rows: int):
         tiers = list(tiers)
         if not tiers:
             raise ValueError("need at least one compiled model")
-        self.buckets = bucket_ladder(max_bucket)
-        self.allow_native = allow_native
-        self.prewarm = prewarm
-        self.plans = [self._compile(c) for c in tiers]
-        self._by_id = {id(p.compiled): p for p in self.plans}
-
-    def _compile(self, compiled) -> ModelPlan:
-        plan = ModelPlan(compiled, self.buckets,
-                         allow_native=self.allow_native)
-        if self.prewarm:
-            from repro.edgetpu.program import lower
-            for rows in self.buckets:
-                lower(compiled, rows)
-                compiled.invoke_breakdown(rows)
-                compiled.invoke_seconds(rows)
-        return plan
-
-    def bucket_for(self, n: int) -> int:
-        """Smallest bucket holding ``n`` rows (shared ladder)."""
-        return self.plans[0].bucket_for(n)
+        self.max_rows = max_rows
+        self.plans = [ModelPlan(compiled, max_rows) for compiled in tiers]
 
     def plan_for(self, compiled) -> ModelPlan | None:
         """The tier plan serving ``compiled`` (identity match)."""
-        return self._by_id.get(id(compiled))
+        for plan in self.plans:
+            if plan.compiled is compiled:
+                return plan
+        return None
 
     def replace_primary(self, compiled) -> ModelPlan:
-        """Recompile tier 0 for a hot-swapped model.
-
-        The old primary's plan (and its arenas) is dropped; degraded
-        tiers keep theirs — a swap replaces only tier 0.
-        """
-        old = self.plans[0]
-        if compiled is old.compiled:
-            return old
-        del self._by_id[id(old.compiled)]
-        plan = self._compile(compiled)
-        self.plans[0] = plan
-        self._by_id[id(compiled)] = plan
-        return plan
+        """Rebuild tier 0's plan for a hot-swapped model."""
+        if compiled is not self.plans[0].compiled:
+            self.plans[0] = ModelPlan(compiled, self.max_rows)
+        return self.plans[0]

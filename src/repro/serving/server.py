@@ -48,7 +48,8 @@ from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import Tracer
 from repro.platforms.base import Platform
 from repro.runtime.cache import LruCache
-from repro.runtime.executor import cpu_op_seconds, run_host_tail
+from repro.runtime.executor import host_ops_seconds
+from repro.runtime.plan import ServingPlan
 from repro.runtime.profiler import LatencyTracker
 from repro.serving.batcher import DynamicBatcher
 from repro.serving.swap import ModelSwapper, SwapRecord
@@ -404,11 +405,10 @@ class InferenceServer:
         # plan each time.  Bounded LRUs (evicted entries recompute
         # identically); invalidated on hot swap.
         self._estimate_cache: LruCache = LruCache(128)
-        # Host-tail seconds per (model identity, charged rows) on the
-        # deferred-dispatch path.  Safe unbounded: keys are the few
-        # resident models x batch sizes up to max_batch; keyed by id()
-        # because the fast path forbids hot swaps, so every compiled
-        # model here is pinned for the server's lifetime.
+        # Host-tail seconds per (model identity, rows).  Safe
+        # unbounded: keys are the few resident models x batch sizes up
+        # to max_batch; keyed by id(), so it is cleared on hot swap
+        # (the swapped-out model may be freed and its id reused).
         self._tail_cache: dict[tuple[int, int], float] = {}
         self._tiers = None
         self._tier_policy: TierPolicy | None = None
@@ -445,63 +445,34 @@ class InferenceServer:
                 "config.tiers sets a shedding policy but no tier "
                 "ladder was provided; pass tiers="
             )
-        self._plan = None
-        if config is not None and config.plan is not None:
-            from repro.runtime.plan import ServingPlan
-            plan_cfg = config.plan
-            max_bucket = (plan_cfg.max_bucket
-                          if plan_cfg.max_bucket is not None
-                          else config.max_batch)
-            if max_bucket < config.max_batch:
-                raise ValueError(
-                    f"plan.max_bucket {max_bucket} is smaller than "
-                    f"max_batch {config.max_batch}; the plan could not "
-                    f"hold a full batch"
-                )
-            tier_models = ([t.compiled for t in self._tiers]
-                           if self._tiers is not None
-                           else [self._compiled])
-            self._plan = ServingPlan(
-                tier_models, max_bucket=max_bucket,
-                allow_native=plan_cfg.native, prewarm=plan_cfg.prewarm,
-            )
+        # The executor of every batch: one arena plan per resident
+        # model, sized for the batcher's largest batch.
+        degraded = ([tier.compiled for tier in self._tiers[1:]]
+                    if self._tiers is not None else [])
+        self._plan = ServingPlan([self._compiled] + degraded,
+                                 self.batcher.max_batch)
 
     # ------------------------------------------------------------------
     # Cost estimation (drives the deadline-aware batch trigger)
     # ------------------------------------------------------------------
 
-    def _host_tail_seconds(self, compiled: CompiledModel,
-                           rows: int) -> float:
-        width = compiled.plans[-1].output_dim
-        seconds = 0.0
-        for op in compiled.cpu_ops:
-            seconds += cpu_op_seconds(self.host, op, rows, width)
-            width = op.output_dim(width)
-        if not compiled.model.output_is_index:
-            seconds += self.host.argmax_seconds(rows, width)
+    def _tail_seconds(self, compiled: CompiledModel, rows: int) -> float:
+        """Modeled host-tail seconds of one batch (memoized)."""
+        key = (id(compiled), rows)
+        seconds = self._tail_cache.get(key)
+        if seconds is None:
+            seconds = host_ops_seconds(compiled, self.host, rows)
+            self._tail_cache[key] = seconds
         return seconds
 
-    def _charged_rows(self, batch_size: int) -> int:
-        """Rows a dispatch actually charges: the padded bucket when a
-        serving plan is active, the raw batch size otherwise."""
-        if self._plan is not None:
-            return self._plan.bucket_for(batch_size)
-        return batch_size
-
     def service_estimate(self, batch_size: int) -> float:
-        """Modeled device invoke + host tail for one batch (memoized).
-
-        Under a serving plan the estimate is evaluated at the padded
-        bucket size — the rows the device would actually be charged
-        for — so the batch trigger sees the real dispatch cost.
-        """
+        """Modeled device invoke + host tail for one batch (memoized)."""
         if batch_size < 1:
             raise ValueError(
                 f"batch_size must be >= 1, got {batch_size}"
             )
         estimate = self._estimate_cache.get(batch_size)
         if estimate is None:
-            rows = self._charged_rows(batch_size)
             # A heterogeneous pool serves per-backend variants of the
             # primary; the batch trigger must plan for the slowest one
             # (it cannot know which device a batch will land on).  On a
@@ -512,8 +483,8 @@ class InferenceServer:
                 if model is not None and model.model is self._compiled.model:
                     variants.setdefault(id(model), model)
             estimate = max(
-                compiled.invoke_seconds(rows)
-                + self._host_tail_seconds(compiled, rows)
+                compiled.invoke_seconds(batch_size)
+                + self._tail_seconds(compiled, batch_size)
                 for compiled in variants.values()
             )
             self._estimate_cache.put(batch_size, estimate)
@@ -527,9 +498,8 @@ class InferenceServer:
         estimate = self._degraded_estimates.get(key)
         if estimate is None:
             compiled = self._tiers[tier_index].compiled
-            rows = self._charged_rows(batch_size)
-            estimate = (compiled.invoke_seconds(rows)
-                        + self._host_tail_seconds(compiled, rows))
+            estimate = (compiled.invoke_seconds(batch_size)
+                        + self._tail_seconds(compiled, batch_size))
             self._degraded_estimates.put(key, estimate)
         return estimate
 
@@ -653,10 +623,10 @@ class InferenceServer:
             if swapped is not None:
                 self._compiled = swapped
                 self._estimate_cache = LruCache(128)
-                if self._plan is not None:
-                    # Recompile tier 0's arena plan for the new
-                    # weights; degraded tiers keep theirs.
-                    self._plan.replace_primary(swapped)
+                self._tail_cache.clear()
+                # Tier 0's arena plan follows the new weights; degraded
+                # tiers keep theirs.
+                self._plan.replace_primary(swapped)
                 # The commit's device load blocks every reloaded device.
                 load = self.swapper.records[-1].load_seconds
                 for i in self.pool.healthy_indices():
@@ -712,35 +682,19 @@ class InferenceServer:
                            to_tier=tier_index,
                            tier=self._tiers[tier_index].name)
             self._active_tier = tier_index
-        plan_model = (self._plan.plan_for(compiled)
-                      if self._plan is not None else None)
-        if defer is not None:
-            # Deferred path: no staging at all — modeled cost is a
-            # function of the charged row count alone, and the
-            # arithmetic happens after the simulation.
-            quantized = None
-            executor = None
-            charged = self._charged_rows(rows)
-        elif plan_model is not None:
-            # Arena path: features land in the plan's preallocated
-            # scratch and quantize in place, padded to the bucket with
-            # zero-point rows (their outputs are sliced off below).
-            quantized = plan_model.stage(features)
-            executor = plan_model.executor_for(len(quantized))
-            charged = len(quantized)
-        else:
-            x = (features if isinstance(features, np.ndarray)
-                 else np.stack(features))
-            quantized = compiled.model.input_spec.qparams.quantize(x)
-            executor = None
-            charged = rows
+        # Features quantize into the plan's arena; the device, the host
+        # tail and the CPU fallback all run the plan's kernels.  The
+        # deferred path stages nothing: modeled cost is a function of
+        # the row count alone, and the arithmetic happens after the
+        # simulation.
+        plan = self._plan.plan_for(compiled)
+        quantized = plan.stage(features) if defer is None else None
 
         batch_span = (tracer.add("serve.batch", dispatch_t, dispatch_t,
                                  parent_id=root, batch=rows,
                                  tier=tier_index)
                       if tracer is not None else None)
         predictions = None
-        deferred_served = False
         completion = None
         detect_t = dispatch_t
         attempts = 0
@@ -753,14 +707,14 @@ class InferenceServer:
             start = max(detect_t, device_free[chosen])
             try:
                 if defer is not None:
-                    invoke = self.pool.invoke_cost(chosen, charged,
+                    invoke = self.pool.invoke_cost(chosen, rows,
                                                    at_s=start,
                                                    model=invoke_model)
                 else:
-                    invoke = self.pool.try_invoke(chosen, quantized,
-                                                  at_s=start,
-                                                  model=invoke_model,
-                                                  executor=executor)
+                    invoke = self.pool.try_invoke(
+                        chosen, quantized, at_s=start, model=invoke_model,
+                        executor=plan.executor_for(rows),
+                    )
             except DeviceFailedError as err:
                 attempts += 1
                 failed_once = True
@@ -774,29 +728,10 @@ class InferenceServer:
             device_free[chosen] = device_done
             device_busy[chosen] += invoke.elapsed_s
             if defer is not None:
-                # The host tail is charged at the rows the device ran
-                # (the padded bucket under a plan) — the same per-op
-                # sum run_host_tail/run_tail would have accumulated.
                 defer.add(compiled, ids)
-                deferred_served = True
-                key = (id(compiled), charged)
-                tail_cost = self._tail_cache.get(key)
-                if tail_cost is None:
-                    tail_cost = self._host_tail_seconds(compiled,
-                                                        charged)
-                    self._tail_cache[key] = tail_cost
-            elif plan_model is not None:
-                # Arena tail (bit-identical to run_host_tail); the
-                # modeled cost is the same per-op plan evaluated at the
-                # padded rows the device just ran.
-                predictions = plan_model.run_tail(invoke.outputs)[:rows]
-                tail_cost = self._host_tail_seconds(
-                    compiled, len(invoke.outputs)
-                )
             else:
-                predictions, tail_cost = run_host_tail(
-                    compiled, invoke.outputs, self.host,
-                )
+                predictions = plan.run_tail(invoke.outputs)
+            tail_cost = self._tail_seconds(compiled, rows)
             tail_start = max(host_free, device_done)
             host_free = tail_start + tail_cost
             report.host_seconds += tail_cost
@@ -818,34 +753,17 @@ class InferenceServer:
                            batch=rows)
             break
 
-        if predictions is None and not deferred_served:
+        if completion is None:
             # Retry exhausted or no healthy device: the CPU-fallback op
-            # path — the same fused int8 kernels on the host,
-            # bit-identical.  Modeled cost stays per-op (fusion is
-            # execution dispatch, not a timing change).
-            width = compiled.model.input_spec.size
-            cost = 0.0
-            for op in list(compiled.tpu_ops) + list(compiled.cpu_ops):
-                cost += cpu_op_seconds(self.host, op, charged, width)
-                width = op.output_dim(width)
+            # path — the same plan's int8 kernels on the host,
+            # bit-identical.  Modeled cost stays per-op (the kernels
+            # are execution dispatch, not a timing change).
+            cost = host_ops_seconds(compiled, self.host, rows,
+                                    whole_model=True)
             if defer is not None:
                 defer.add(compiled, ids)
-                deferred_served = True
-                if not compiled.model.output_is_index:
-                    cost += self.host.argmax_seconds(charged, width)
-            elif plan_model is not None:
-                predictions = plan_model.run_host(quantized)[:rows]
-                if not compiled.model.output_is_index:
-                    cost += self.host.argmax_seconds(charged, width)
             else:
-                out = quantized
-                for stage in compiled.host_stages():
-                    out = stage(out)
-                if compiled.model.output_is_index:
-                    predictions = out[:, 0]
-                else:
-                    cost += self.host.argmax_seconds(charged, width)
-                    predictions = np.argmax(out, axis=-1)
+                predictions = plan.run_host(quantized)
             fallback_start = max(host_free, detect_t)
             host_free = fallback_start + cost
             report.host_seconds += cost

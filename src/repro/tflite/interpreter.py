@@ -85,21 +85,3 @@ class Interpreter:
         if self.model.output_is_index:
             return np.asarray(out, dtype=np.int64)
         return np.argmax(out, axis=-1).astype(np.int64)
-
-    def plan(self, max_batch: int, *, allow_native: bool = True):
-        """Compile an arena-backed serving plan for this model.
-
-        The returned :class:`~repro.runtime.plan.ModelPlan` executes the
-        whole op chain through preallocated scratch buffers —
-        ``plan.predict(x)`` is bit-identical to :meth:`predict` but
-        allocation-free in steady state (and routed through the native
-        AVX-512 VNNI kernels where provably exact).
-
-        Args:
-            max_batch: Largest batch to preallocate for; smaller batches
-                pad up a power-of-two bucket ladder.
-            allow_native: Permit the :mod:`repro.native` kernels.
-        """
-        from repro.runtime.plan import ModelPlan, bucket_ladder
-        return ModelPlan.for_model(self.model, bucket_ladder(max_batch),
-                                   allow_native=allow_native)

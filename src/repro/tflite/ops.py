@@ -35,7 +35,9 @@ Fast path
 :func:`fused_stages` additionally fuses ``FC→TANH`` and
 ``FC→requant→ARGMAX`` pairs so executors skip materializing the
 intermediate int8 tensor; the interpreter, the Edge TPU device
-simulator and the serving CPU fallback all dispatch through it.
+simulator's default stage loop and the training encode dispatch
+through it.  Serving runs the same kernels through the arena-backed
+:class:`~repro.runtime.plan.ModelPlan`.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro import native
 from repro.tflite.quantization import (
     PerChannelQuantParams,
     QuantParams,
@@ -209,6 +212,7 @@ class FullyConnectedOp(Op):
         self._weights_i64 = weights.astype(np.int64)
         self._weights_f64 = weights.astype(np.float64)
         column_sum = self._weights_i64.sum(axis=0)
+        self._column_sum = column_sum
         # Fold the input zero-point centering into a per-column offset so
         # the matmul consumes raw int8 codes:
         #   (x - zp) @ W + b  ==  x @ W + (-zp * W.sum(axis=0) + b)
@@ -220,6 +224,7 @@ class FullyConnectedOp(Op):
         # Static worst-case accumulator bound, per column:
         #   |acc_j| <= max|x - zp| * sum_i |W_ij| + |b_j|
         column_abs_sum = np.abs(self._weights_i64).sum(axis=0)
+        self._column_abs_sum = column_abs_sum
         max_centered = max(abs(input_qparams.qmin - zp),
                            abs(input_qparams.qmax - zp))
         acc_bound = max_centered * column_abs_sum
@@ -401,6 +406,30 @@ class FullyConnectedOp(Op):
                       self._offset_f64.astype(np.float32))
             self.__dict__["_gemm_operands_f32"] = cached
         return cached
+
+    def packed_vnni(self):
+        """The weights in the native VNNI kernel layout, or ``None``.
+
+        ``None`` when the kernel cannot run this op exactly: a
+        per-channel multiplier, or an int32 accumulator bound the
+        kernel could exceed.  Built from the precomputed column sums
+        (no widened weight copy) and cached — weights are immutable —
+        so every plan over this op shares one packing.  The caller
+        checks :func:`repro.native.available` first.
+        """
+        if "_packed_vnni" not in self.__dict__:
+            packed = None
+            if (isinstance(self._multiplier, float)
+                    and native.vnni_accumulator_bound(
+                        self._column_abs_sum, self._offset_i64)
+                    <= _INT32_MAX):
+                try:
+                    packed = native.pack_fc(self.weights, self._offset_i64,
+                                            self._column_sum)
+                except OverflowError:  # folded offset exceeds int32
+                    pass
+            self.__dict__["_packed_vnni"] = packed
+        return self.__dict__["_packed_vnni"]
 
     def accumulate_into(self, x: np.ndarray, acc: np.ndarray,
                         x_wide: np.ndarray,

@@ -1,4 +1,4 @@
-"""Ahead-of-time serving plans: arenas, bucketing, zero allocations."""
+"""Arena-backed execution plans: exact row counts, zero allocations."""
 
 import tracemalloc
 
@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from repro import native
+from repro.compression import tiers as tiers_module
 from repro.compression.tiers import TierSpec, build_tiers, compiled_predict
-from repro.config import PlanConfig
 from repro.edgetpu import EdgeTpuDevice, compile_model
 from repro.hdc.bagging import BaggingConfig, BaggingHDCTrainer
 from repro.hdc.model import HDCClassifier
 from repro.nn import from_classifier
-from repro.runtime.plan import ModelPlan, ServingPlan, bucket_ladder
+from repro.runtime.plan import ModelPlan, ServingPlan
 from repro.tflite import convert
 from repro.tflite.interpreter import Interpreter
 
@@ -61,56 +61,46 @@ def reference_predictions(compiled, x):
     return np.argmax(out, axis=-1).astype(np.int64)
 
 
-class TestBucketLadder:
-    def test_powers_of_two_plus_max(self):
-        assert bucket_ladder(64) == (1, 2, 4, 8, 16, 32, 64)
-        assert bucket_ladder(48) == (1, 2, 4, 8, 16, 32, 48)
-        assert bucket_ladder(1) == (1,)
-
-    def test_validates(self):
-        with pytest.raises(ValueError, match="max_batch"):
-            bucket_ladder(0)
-
-    def test_no_batch_pads_more_than_2x(self):
-        ladder = bucket_ladder(100)
-        for n in range(1, 101):
-            rows = next(r for r in ladder if r >= n)
-            assert rows < 2 * n or rows == 1
+@pytest.fixture
+def kernels(monkeypatch):
+    """``kernels(False)`` hides the native VNNI kernels from plans built
+    afterwards, so they take the numpy arena path (the only path on
+    CPUs without VNNI)."""
+    def choose(allow_native: bool) -> None:
+        if not allow_native:
+            monkeypatch.setattr(native, "available", lambda: False)
+    return choose
 
 
 class TestModelPlan:
     @pytest.mark.parametrize("allow_native", [True, False])
-    def test_bit_identical_to_reference(self, compiled, data, allow_native):
+    def test_bit_identical_to_reference(self, compiled, data, allow_native,
+                                        kernels):
         x, _ = data
-        plan = ModelPlan(compiled, bucket_ladder(32),
-                         allow_native=allow_native)
+        kernels(allow_native)
+        plan = ModelPlan(compiled, 32)
         for n in (1, 3, 17, 32):
             np.testing.assert_array_equal(
                 np.array(plan.predict(x[:n])),
                 reference_predictions(compiled, x[:n]),
             )
 
-    def test_native_flag_matches_module(self, compiled):
-        plan = ModelPlan(compiled, (8,))
+    def test_native_flag_matches_module(self, compiled, kernels):
+        plan = ModelPlan(compiled, 8)
         assert plan.native == native.available()
-        assert ModelPlan(compiled, (8,), allow_native=False).native is False
+        kernels(False)
+        assert ModelPlan(compiled, 8).native is False
 
-    def test_padding_rows_are_invisible(self, compiled, data):
-        # A 3-row batch runs in the 4-row bucket; the padded row's
-        # output never leaks into the sliced predictions.
+    def test_runs_exact_row_counts(self, compiled, data):
+        # A 3-row batch runs as 3 rows: no padding rows, at any count.
         x, _ = data
-        plan = ModelPlan(compiled, bucket_ladder(8))
-        q = plan.stage(x[:3])
-        assert q.shape[0] == 4
-        out = plan.predict(x[:3])
-        assert out.shape == (3,)
-        np.testing.assert_array_equal(
-            np.array(out), reference_predictions(compiled, x[:3])
-        )
+        plan = ModelPlan(compiled, 8)
+        assert plan.stage(x[:3]).shape == (3, plan.in_dim)
+        assert plan.predict(x[:3]).shape == (3,)
 
     def test_executor_through_device_invoke(self, compiled, data):
         x, _ = data
-        plan = ModelPlan(compiled, bucket_ladder(16))
+        plan = ModelPlan(compiled, 16)
         device = EdgeTpuDevice(arch=compiled.arch)
         device.load_model(compiled)
         q = plan.stage(x[:16])
@@ -121,7 +111,7 @@ class TestModelPlan:
 
     def test_predict_returns_view(self, compiled, data):
         x, _ = data
-        plan = ModelPlan(compiled, bucket_ladder(8))
+        plan = ModelPlan(compiled, 8)
         first = plan.predict(x[:4])
         kept = np.array(first)
         second = plan.predict(x[4:8])
@@ -134,14 +124,16 @@ class TestModelPlan:
 
     def test_oversized_batch_rejected(self, compiled, data):
         x, _ = data
-        plan = ModelPlan(compiled, bucket_ladder(8))
+        plan = ModelPlan(compiled, 8)
         with pytest.raises(ValueError, match="exceeds"):
             plan.predict(x[:9])
+        with pytest.raises(ValueError, match="max_rows"):
+            ModelPlan(compiled, 0)
 
-    def test_for_model_matches_interpreter(self, compiled, data):
+    def test_matches_interpreter(self, compiled, data):
         x, _ = data
         interp = Interpreter(compiled.model)
-        plan = interp.plan(16)
+        plan = ModelPlan(compiled, 16)
         for n in (1, 5, 16):
             np.testing.assert_array_equal(
                 np.array(plan.predict(x[:n])), interp.predict(x[:n])
@@ -149,10 +141,11 @@ class TestModelPlan:
 
 
 class TestZeroAllocation:
-    """Satellite: steady-state invokes allocate nothing (tracemalloc)."""
+    """Warm invokes allocate nothing (tracemalloc): each row count is
+    bound on first use, then reused."""
 
     def _steady_state_peak(self, plan, x, repeats=20):
-        plan.predict(x)  # warm every lazy path (gemm operands, views)
+        plan.predict(x)  # warm every lazy path (row count, operands)
         plan.predict(x)
         tracemalloc.start()
         try:
@@ -169,10 +162,10 @@ class TestZeroAllocation:
 
     @pytest.mark.parametrize("allow_native", [True, False])
     def test_full_width_plan_is_allocation_free(self, compiled, data,
-                                                allow_native):
+                                                allow_native, kernels):
         x, _ = data
-        plan = ModelPlan(compiled, bucket_ladder(32),
-                         allow_native=allow_native)
+        kernels(allow_native)
+        plan = ModelPlan(compiled, 32)
         # Any real regression re-allocates a per-stage array: the f64
         # codes buffer alone is 32 * 512 * 8 = 128 KiB per invoke.
         # Transient Python objects (slice views, closures) stay well
@@ -182,7 +175,7 @@ class TestZeroAllocation:
     def test_compressed_tier_plan_is_allocation_free(self, tier_set, data):
         x, _ = data
         degraded = tier_set[1].compiled
-        plan = ModelPlan(degraded, bucket_ladder(32))
+        plan = ModelPlan(degraded, 32)
         assert self._steady_state_peak(plan, x[:32]) < 8 * 1024
         np.testing.assert_array_equal(
             np.array(plan.predict(x[:32])),
@@ -190,10 +183,10 @@ class TestZeroAllocation:
         )
 
     def test_mixed_bucket_steady_state(self, compiled, data):
-        # Alternating bucket sizes stays allocation-free too: every
-        # bucket's views were bound at build time.
+        # Alternating row counts stays allocation-free too: once each
+        # count has run, its views and closures are reused.
         x, _ = data
-        plan = ModelPlan(compiled, bucket_ladder(32))
+        plan = ModelPlan(compiled, 32)
         for n in (32, 7, 1, 16):
             plan.predict(x[:n])
         tracemalloc.start()
@@ -212,17 +205,9 @@ class TestZeroAllocation:
 
 
 class TestServingPlan:
-    def test_prewarm_fills_latency_memos(self, compiled):
-        plan = ServingPlan([compiled], max_bucket=16)
-        # Every bucket's invoke_seconds was computed at build time and
-        # comes back as the exact same float (LRU hit, no recompute).
-        for rows in plan.buckets:
-            first = compiled.invoke_seconds(rows)
-            assert compiled.invoke_seconds(rows) == first
-
     def test_plan_for_identity(self, compiled, tier_set):
         degraded = tier_set[1].compiled
-        plan = ServingPlan([compiled, degraded], max_bucket=8)
+        plan = ServingPlan([compiled, degraded], max_rows=8)
         assert plan.plan_for(compiled) is plan.plans[0]
         assert plan.plan_for(degraded) is plan.plans[1]
         assert plan.plan_for(object()) is None
@@ -231,7 +216,7 @@ class TestServingPlan:
                                                  data):
         x, _ = data
         degraded = tier_set[1].compiled
-        plan = ServingPlan([compiled, degraded], max_bucket=8)
+        plan = ServingPlan([compiled, degraded], max_rows=8)
         old_degraded_plan = plan.plans[1]
         swapped = fresh_compiled(x, data[1])
         new_plan = plan.replace_primary(swapped)
@@ -245,41 +230,29 @@ class TestServingPlan:
 
     def test_empty_tiers_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            ServingPlan([], max_bucket=8)
+            ServingPlan([], max_rows=8)
 
 
 class TestCompiledPredictPlanRouting:
-    def test_model_plan_route(self, compiled, data):
+    """``compiled_predict`` runs through a ModelPlan, sliced when the
+    batch outgrows one arena."""
+
+    def test_model_plan_route(self, compiled, data, monkeypatch):
         x, _ = data
-        plan = ModelPlan(compiled, bucket_ladder(16))
-        np.testing.assert_array_equal(
-            compiled_predict(compiled, x, plan=plan),
-            compiled_predict(compiled, x),
-        )
+        expected = reference_predictions(compiled, x)
+        np.testing.assert_array_equal(compiled_predict(compiled, x),
+                                      expected)
+        monkeypatch.setattr(tiers_module, "_PREDICT_SLICE", 7)
+        np.testing.assert_array_equal(compiled_predict(compiled, x),
+                                      expected)
 
-    def test_serving_plan_route_and_fallback(self, compiled, tier_set,
-                                             data):
+    def test_serving_plan_route_and_fallback(self, tier_set, data):
+        # Every tier, the degraded ones included, predicts bit-identically
+        # to the frozen oracle; an empty batch yields no predictions.
         x, _ = data
-        plan = ServingPlan([compiled], max_bucket=16)
-        np.testing.assert_array_equal(
-            compiled_predict(compiled, x, plan=plan),
-            compiled_predict(compiled, x),
-        )
-        # A model the plan does not serve falls back to the classic path.
-        foreign = tier_set[1].compiled
-        np.testing.assert_array_equal(
-            compiled_predict(foreign, x, plan=plan),
-            compiled_predict(foreign, x),
-        )
-
-
-class TestPlanConfig:
-    def test_defaults(self):
-        config = PlanConfig()
-        assert config.max_bucket is None
-        assert config.native is True
-        assert config.prewarm is True
-
-    def test_validates(self):
-        with pytest.raises(ValueError, match="max_bucket"):
-            PlanConfig(max_bucket=0)
+        for tier in tier_set:
+            np.testing.assert_array_equal(
+                compiled_predict(tier.compiled, x),
+                reference_predictions(tier.compiled, x),
+            )
+        assert compiled_predict(tier_set[0].compiled, x[:0]).shape == (0,)

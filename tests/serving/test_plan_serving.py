@@ -1,18 +1,16 @@
-"""Plan-enabled serving: bucketing and arenas never change results."""
+"""Serving through the arena plan: kernels never change results."""
 
 import numpy as np
-import pytest
 
-from repro.compression.tiers import TierSpec, build_tiers
-from repro.config import PlanConfig, ServeConfig, TierPolicy
+from repro import native
+from repro.compression.tiers import TierSpec, build_tiers, compiled_predict
+from repro.config import ServeConfig, TierPolicy
 from repro.edgetpu import DevicePool, FailurePlan
 from repro.hdc.bagging import BaggingConfig, BaggingHDCTrainer
 from repro.serving import InferenceServer, ModelSwapper
 from tests.serving.conftest import train_compiled
 
-PLAN = ServeConfig(max_batch=16, slack_s=0.001,
-                   plan=PlanConfig())
-CLASSIC = ServeConfig(max_batch=16, slack_s=0.001)
+CONFIG = ServeConfig(max_batch=16, slack_s=0.001)
 
 
 def _serve(compiled, trace, config, num_devices=2, **kwargs):
@@ -22,100 +20,95 @@ def _serve(compiled, trace, config, num_devices=2, **kwargs):
     return server.serve(trace)
 
 
-class TestPlanEquivalence:
-    def test_bucketed_equals_unbucketed(self, serving_setup):
-        """The tentpole invariant: bucketing never changes predictions.
+def _reference(compiled, trace):
+    """Per-request predictions of the frozen oracle chain."""
+    x = np.stack([r.features for r in trace])
+    out = compiled.model.input_spec.qparams.quantize(
+        np.asarray(x, np.float32))
+    for op in compiled.model.ops:
+        out = op.run_reference(out) if hasattr(op, "run_reference") \
+            else op.run(out)
+    if compiled.model.output_is_index:
+        return out[:, 0].astype(np.int64)
+    return np.argmax(out, axis=-1).astype(np.int64)
 
-        Modeled timing may shift — the device is charged at the padded
-        bucket size — but every served value is bit-identical.
-        """
+
+class TestPlanEquivalence:
+    def test_predictions_match_reference(self, serving_setup):
+        """Every served prediction is the frozen oracle's, and the
+        device is charged exactly the served rows."""
         _, compiled, trace = serving_setup
-        classic = _serve(compiled, trace, CLASSIC)
-        planned = _serve(compiled, trace, PLAN)
-        assert planned.served == classic.served
-        assert planned.dropped == classic.dropped
-        np.testing.assert_array_equal(planned.predictions,
-                                      classic.predictions)
-        assert np.isfinite(planned.makespan_s)
+        pool = DevicePool(2)
+        pool.load_replicated(compiled)
+        report = InferenceServer(pool, config=CONFIG).serve(trace)
+        served = report.predictions >= 0
+        assert served.any()
+        np.testing.assert_array_equal(
+            report.predictions[served], _reference(compiled, trace)[served]
+        )
+        assert sum(d.stats.samples for d in pool.devices) == report.served
+        assert sum(d.stats.invocations for d in pool.devices) \
+            == report.num_batches
 
     def test_traced_equals_untraced(self, serving_setup):
         _, compiled, trace = serving_setup
-        traced_cfg = ServeConfig(max_batch=16, slack_s=0.001,
-                                 plan=PlanConfig(), tracing=True)
-        plain = _serve(compiled, trace, PLAN)
+        traced_cfg = ServeConfig(max_batch=16, slack_s=0.001, tracing=True)
+        plain = _serve(compiled, trace, CONFIG)
         traced = _serve(compiled, trace, traced_cfg)
         np.testing.assert_array_equal(traced.predictions, plain.predictions)
         np.testing.assert_array_equal(traced.latencies, plain.latencies)
         assert traced.makespan_s == plain.makespan_s
         assert traced.trace is not None
 
-    def test_numpy_fallback_plan_equals_native(self, serving_setup):
+    def test_numpy_fallback_plan_equals_native(self, serving_setup,
+                                               monkeypatch):
         _, compiled, trace = serving_setup
-        no_native = ServeConfig(max_batch=16, slack_s=0.001,
-                                plan=PlanConfig(native=False))
-        a = _serve(compiled, trace, PLAN)
-        b = _serve(compiled, trace, no_native)
+        a = _serve(compiled, trace, CONFIG)
+        monkeypatch.setattr(native, "available", lambda: False)
+        b = _serve(compiled, trace, CONFIG)
         np.testing.assert_array_equal(a.predictions, b.predictions)
         # Kernel choice changes wall time only; the virtual clock and
         # every modeled number match exactly.
         assert a.summary() == b.summary()
 
-    def test_no_prewarm_equals_prewarmed(self, serving_setup):
-        _, compiled, trace = serving_setup
-        cold = ServeConfig(max_batch=16, slack_s=0.001,
-                           plan=PlanConfig(prewarm=False))
-        a = _serve(compiled, trace, PLAN)
-        b = _serve(compiled, trace, cold)
-        assert a.summary() == b.summary()
-
-    def test_wider_bucket_ladder_is_equivalent(self, serving_setup):
-        # Arena headroom beyond max_batch changes nothing observable.
-        _, compiled, trace = serving_setup
-        wide = ServeConfig(max_batch=16, slack_s=0.001,
-                           plan=PlanConfig(max_bucket=64))
-        a = _serve(compiled, trace, PLAN)
-        b = _serve(compiled, trace, wide)
-        assert a.summary() == b.summary()
-        np.testing.assert_array_equal(a.predictions, b.predictions)
-
 
 class TestPlanFaultPaths:
     def test_cpu_fallback_through_arenas(self, serving_setup):
         _, compiled, trace = serving_setup
-        def run(config):
-            pool = DevicePool(1)
-            pool.load_replicated(compiled)
-            pool.schedule_failure(FailurePlan(0, at_s=0.2,
-                                              mode="device_loss"))
-            return InferenceServer(pool, config=config).serve(trace)
-
-        classic = run(CLASSIC)
-        planned = run(PLAN)
-        assert planned.fallback_batches > 0
-        np.testing.assert_array_equal(planned.predictions,
-                                      classic.predictions)
+        pool = DevicePool(1)
+        pool.load_replicated(compiled)
+        pool.schedule_failure(FailurePlan(0, at_s=0.2, mode="device_loss"))
+        report = InferenceServer(pool, config=CONFIG).serve(trace)
+        assert report.fallback_batches > 0
+        served = report.predictions >= 0
+        np.testing.assert_array_equal(
+            report.predictions[served], _reference(compiled, trace)[served]
+        )
 
     def test_hot_swap_recompiles_primary_plan(self, serving_setup):
         stream, compiled, trace = serving_setup
         x, y = stream.test_set(200)
         replacement = train_compiled(x, y, seed=17)
-
-        def run(config):
-            pool = DevicePool(2)
-            pool.load_replicated(compiled)
-            swapper = ModelSwapper(pool)
-            swapper.schedule(replacement, at_s=0.1)
-            server = InferenceServer(pool, config=config, swapper=swapper)
-            report = server.serve(trace)
-            return report, swapper
-
-        classic, _ = run(CLASSIC)
-        planned, swapper = run(PLAN)
+        pool = DevicePool(2)
+        pool.load_replicated(compiled)
+        swapper = ModelSwapper(pool)
+        swapper.schedule(replacement, at_s=0.1)
+        server = InferenceServer(pool, config=CONFIG, swapper=swapper)
+        report = server.serve(trace)
         assert swapper.swaps_committed == 1
-        np.testing.assert_array_equal(planned.predictions,
-                                      classic.predictions)
+        # Each request carries the prediction of the model serving it:
+        # the old one up to the commit, the replacement after.
+        old = _reference(compiled, trace)
+        new = _reference(replacement, trace)
+        preds = report.predictions
+        assert np.all((preds == old) | (preds == new))
+        committed = swapper.records[0].committed_s
+        after = np.array([r.arrival_s >= committed for r in trace])
+        differ = after & (old != new)
+        assert differ.any()
+        np.testing.assert_array_equal(preds[differ], new[differ])
 
-    def test_tier_shedding_through_arenas(self, serving_setup):
+    def test_tier_shedding_through_arenas(self, serving_setup, monkeypatch):
         stream, _, trace = serving_setup
         x, y = stream.next_batch(300)
         trainer = BaggingHDCTrainer(
@@ -128,33 +121,33 @@ class TestPlanFaultPaths:
             specs=(TierSpec("full"),
                    TierSpec("compressed", "dpq", dimension=256)),
         )
-        policy = TierPolicy(queue_high=4, headroom_s=0.0001)
+        # A tight headroom makes the policy shed some batches to the
+        # compressed tier.
+        policy = TierPolicy(queue_high=4, headroom_s=0.039)
+        config = ServeConfig(max_batch=16, slack_s=0.001, tiers=policy)
 
-        def run(plan):
-            config = ServeConfig(max_batch=16, slack_s=0.001,
-                                 tiers=policy, plan=plan)
+        def run():
             pool = DevicePool(1, ladder[0].compiled.arch)
             pool.load_replicated(ladder[0].compiled)
             server = InferenceServer(pool, config=config, tiers=ladder)
             return server.serve(trace)
 
-        # Shedding decisions follow the (padded) estimates, so compare
-        # planned runs against each other: native vs numpy arenas must
-        # agree on everything, and a rerun must be deterministic.
-        planned = run(PlanConfig())
-        numpy_planned = run(PlanConfig(native=False))
-        again = run(PlanConfig())
+        # Native vs numpy arenas must agree on everything, a rerun must
+        # be deterministic, and every tier's rows are its oracle's.
+        planned = run()
+        again = run()
+        monkeypatch.setattr(native, "available", lambda: False)
+        numpy_planned = run()
         np.testing.assert_array_equal(planned.predictions,
                                       numpy_planned.predictions)
         assert planned.summary() == numpy_planned.summary()
         assert planned.summary() == again.summary()
-
-
-class TestPlanValidation:
-    def test_small_bucket_rejected(self, serving_setup):
-        _, compiled, _ = serving_setup
-        pool = DevicePool(1)
-        pool.load_replicated(compiled)
-        config = ServeConfig(max_batch=16, plan=PlanConfig(max_bucket=8))
-        with pytest.raises(ValueError, match="max_bucket"):
-            InferenceServer(pool, config=config)
+        assert planned.tier_sheds > 0
+        features = np.stack([r.features for r in trace])
+        for index, tier in enumerate(ladder):
+            rows = planned.request_tiers == index
+            if rows.any():
+                np.testing.assert_array_equal(
+                    planned.predictions[rows],
+                    compiled_predict(tier.compiled, features[rows]),
+                )
