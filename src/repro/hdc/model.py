@@ -155,8 +155,8 @@ class HDCClassifier:
             val_y = np.asarray(validation[1], dtype=np.int64)
 
         for _ in range(iterations):
-            order = self._rng.permutation(len(y)) if shuffle else np.arange(len(y))
-            correct, updates = self._train_pass(hypervectors[order], y[order])
+            order = self._rng.permutation(len(y)) if shuffle else None
+            correct, updates = self._train_pass(hypervectors, y, order)
             self.history.train_accuracy.append(correct / max(1, len(y)))
             self.history.updates.append(updates)
             self.history.samples_seen.append(len(y))
@@ -196,16 +196,31 @@ class HDCClassifier:
                 f"cannot grow to {num_classes}"
             )
 
-    def _train_pass(self, hypervectors: np.ndarray,
-                    y: np.ndarray) -> tuple[int, int]:
-        """One pass of mistake-driven updates.  Returns (correct, updates)."""
+    def _chunks(self, hypervectors: np.ndarray, y: np.ndarray,
+                order: np.ndarray | None):
+        """Yield ``(chunk, labels)`` mini-batches in training order.
+
+        With a permutation ``order`` each chunk gathers only its own
+        rows, so a shuffled pass never copies the whole matrix; the
+        rows and their order are those of ``hypervectors[order]``.
+        """
+        for start in range(0, len(y), self.chunk_size):
+            if order is None:
+                rows = slice(start, start + self.chunk_size)
+            else:
+                rows = order[start:start + self.chunk_size]
+            yield hypervectors[rows], y[rows]
+
+    def _train_pass(self, hypervectors: np.ndarray, y: np.ndarray,
+                    order: np.ndarray | None = None) -> tuple[int, int]:
+        """One pass of mistake-driven updates, visiting samples in
+        ``order`` (stored order when ``None``).  Returns (correct,
+        updates)."""
         classes = self.class_hypervectors
         lr = self.learning_rate
         correct = 0
         updates = 0
-        for start in range(0, len(y), self.chunk_size):
-            chunk = hypervectors[start:start + self.chunk_size]
-            labels = y[start:start + self.chunk_size]
+        for chunk, labels in self._chunks(hypervectors, y, order):
             predictions = self._classify(chunk)
             wrong = np.nonzero(predictions != labels)[0]
             correct += int(len(labels) - len(wrong))

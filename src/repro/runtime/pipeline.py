@@ -54,6 +54,7 @@ from repro.runtime.executor import (
     spawn_rngs,
 )
 from repro.observability.trace import Tracer
+from repro.runtime.plan import ModelPlan
 from repro.runtime.profiler import PhaseProfiler
 from repro.tflite.converter import convert
 from repro.tflite.flatmodel import FlatModel
@@ -447,28 +448,35 @@ class TrainingPipeline:
                         name="device.load", tags=cache_tag, model="encoder",
                         bytes_in=compiled.model.size_bytes())
 
-        quantized_in = flat.input_spec.qparams.quantize(samples)
-        pieces = []
+        # A private plan per call: sub-model tasks run on threads and a
+        # cache hit can hand two of them the same compiled encoder, so
+        # the arenas must not live on the shared CompiledModel.
+        batch = min(self.train_batch, len(samples))
+        plan = ModelPlan(compiled, batch)
+        out_qparams = compiled.tpu_ops[-1].output_qparams
+        encoded = np.empty((len(samples), compiled.plans[-1].output_dim),
+                           dtype=np.float32)
         with profiler.tracer.span("encode", phase="encode",
                                   samples=len(samples)):
-            for start in range(0, len(samples), self.train_batch):
+            for start in range(0, len(samples), batch):
+                q = plan.stage(samples[start:start + batch])
                 result = device.invoke(
-                    quantized_in[start:start + self.train_batch]
+                    q, executor=plan.executor_for(len(q)),
                 )
                 profiler.charge("encode", result.elapsed_s,
                                 name="device.invoke", device=0,
-                                batch=len(result.outputs),
+                                batch=len(q),
                                 bytes_in=result.bytes_in,
                                 bytes_out=result.bytes_out)
-                pieces.append(result.outputs)
-            encoded_q = np.vstack(pieces)
-            # Host-side dequantization of the returned hypervectors.
-            out_qparams = compiled.tpu_ops[-1].output_qparams
+                # Host-side dequantization of the returned hypervectors.
+                out_qparams.dequantize_into(
+                    result.outputs, encoded[start:start + len(q)],
+                )
             profiler.charge(
-                "encode", self.host.elementwise_seconds(encoded_q.size),
-                name="host.dequantize", elements=encoded_q.size,
+                "encode", self.host.elementwise_seconds(encoded.size),
+                name="host.dequantize", elements=encoded.size,
             )
-        return out_qparams.dequantize(encoded_q)
+        return encoded
 
     def _charge_update(self, history, dimension, num_classes, profiler):
         """Charge the host update phase from measured per-pass statistics."""
@@ -589,17 +597,18 @@ class InferencePipeline:
                 breakdown=dict(dispatched.breakdown),
                 trace=tracer,
             )
-        model = self.compiled.model
-        quantized = model.input_spec.qparams.quantize(test_x)
         seconds = 0.0
         predictions = np.empty(len(test_x), dtype=np.int64)
         tail_width = self.compiled.plans[-1].output_dim
+        plan = ModelPlan(self.compiled, max(1, min(self.batch, len(test_x))))
         root = (tracer.add("pipeline.infer", 0.0, 0.0,
                            samples=len(test_x), batch=self.batch)
                 if tracer else None)
         for start in range(0, len(test_x), self.batch):
-            chunk = quantized[start:start + self.batch]
-            result = self.device.invoke(chunk)
+            chunk = plan.stage(test_x[start:start + self.batch])
+            result = self.device.invoke(
+                chunk, executor=plan.executor_for(len(chunk)),
+            )
             if tracer:
                 tracer.add("device.invoke", seconds,
                            seconds + result.elapsed_s, parent_id=root,
@@ -608,7 +617,6 @@ class InferencePipeline:
                            bytes_in=result.bytes_in,
                            bytes_out=result.bytes_out)
             seconds += result.elapsed_s
-            out = result.outputs
             width = tail_width
             for op in self.compiled.cpu_ops:
                 cost = self._cpu_op_seconds(op, len(chunk), width)
@@ -617,12 +625,11 @@ class InferencePipeline:
                                seconds + cost, parent_id=root,
                                phase="inference", batch=len(chunk))
                 seconds += cost
-                out = op.run(out)
                 width = op.output_dim(width)
-            if model.output_is_index:
-                predictions[start:start + self.batch] = out[:, 0]
-            else:
-                predictions[start:start + self.batch] = np.argmax(out, axis=-1)
+            # run_tail returns a view into the plan's buffer; the slice
+            # assignment copies it out.
+            predictions[start:start + len(chunk)] = plan.run_tail(
+                result.outputs)
         if tracer:
             tracer.finish(root, seconds)
             tracer.advance(seconds)

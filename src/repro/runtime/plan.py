@@ -1,4 +1,4 @@
-"""Arena-backed execution plans: the server's one int8 executor.
+"""Arena-backed execution plans: the int8 executor of serving and training.
 
 A :class:`ModelPlan` resolves one compiled model's op chain once and
 runs every batch through preallocated buffers:
@@ -16,9 +16,11 @@ runs every batch through preallocated buffers:
 - **Shared execution** — the same plan runs the device stages (via the
   ``executor=`` hook on :meth:`~repro.edgetpu.device.EdgeTpuDevice.invoke`),
   the host tail, the CPU fallback, every degraded tier and the
-  cluster's deferred predictions, so all paths stay bit-identical to
-  the reference interpreter by construction (the tests assert it
-  against the frozen ``run_reference`` oracles).
+  cluster's deferred predictions; the training encode and
+  :class:`~repro.runtime.pipeline.InferencePipeline` build their own
+  per call.  All paths stay bit-identical to the reference
+  interpreter by construction (the tests assert it against the frozen
+  ``run_reference`` oracles).
 
 The plan changes *measured wall time only*: modeled virtual-clock
 charges come from ``invoke_breakdown`` and
@@ -248,7 +250,8 @@ class ModelPlan:
 
     Built once per model (by the server's :class:`ServingPlan`, per
     resident tier; by the cluster's deferred-prediction resolve; by
-    :func:`~repro.compression.tiers.compiled_predict`); after a row
+    :func:`~repro.compression.tiers.compiled_predict`; per call by the
+    training encode and ``InferencePipeline.run``); after a row
     count's first use the path
 
     ``stage() -> executor (device) -> run_tail()``

@@ -17,8 +17,8 @@ Fast path
 
 ``FullyConnectedOp`` precomputes, once per op (weights are immutable):
 
-- widened ``int64``/``float64`` copies of the weight matrix, so ``run``
-  never re-casts parameters per invocation;
+- per-column sums and absolute sums, read straight from the int8
+  weights;
 - a per-column offset ``-in_zp * W.sum(axis=0) (+ bias)`` folding the
   input zero-point centering out of the matmul, so the kernel consumes
   raw int8 codes;
@@ -32,11 +32,19 @@ Fast path
   frozen seed oracle the equivalence tests and benchmarks compare
   against).
 
+The widened ``int64``/``float64``/``float32`` copies of the weight
+matrix those paths multiply by are built on first use and cached, so
+``run`` never re-casts parameters per invocation; an op whose kernel
+never needs one — the native VNNI kernel reads the int8 weights —
+never holds it (a 617×10,000 op's int8 weights take 5.9 MiB, its
+int64 and float64 copies 94 MiB).
+
 :func:`fused_stages` additionally fuses ``FC→TANH`` and
 ``FC→requant→ARGMAX`` pairs so executors skip materializing the
 intermediate int8 tensor; the interpreter, the Edge TPU device
-simulator's default stage loop and the training encode dispatch
-through it.  Serving runs the same kernels through the arena-backed
+simulator's default stage loop and the multi-device dispatcher run
+through it.  Serving, the training encode and the single-device
+inference pipeline run the same kernels through the arena-backed
 :class:`~repro.runtime.plan.ModelPlan`.
 """
 
@@ -208,10 +216,10 @@ class FullyConnectedOp(Op):
                 / output_qparams.scale
             )
         # --- fast-path precomputation (weights are immutable) ---------
+        # Column sums come straight from the int8 weights; the widened
+        # weight copies are built only when a kernel asks for them.
         zp = input_qparams.zero_point
-        self._weights_i64 = weights.astype(np.int64)
-        self._weights_f64 = weights.astype(np.float64)
-        column_sum = self._weights_i64.sum(axis=0)
+        column_sum = weights.sum(axis=0, dtype=np.int64)
         self._column_sum = column_sum
         # Fold the input zero-point centering into a per-column offset so
         # the matmul consumes raw int8 codes:
@@ -223,7 +231,8 @@ class FullyConnectedOp(Op):
         self._offset_f64 = offset.astype(np.float64)
         # Static worst-case accumulator bound, per column:
         #   |acc_j| <= max|x - zp| * sum_i |W_ij| + |b_j|
-        column_abs_sum = np.abs(self._weights_i64).sum(axis=0)
+        column_abs_sum = np.abs(weights, dtype=np.int16).sum(axis=0,
+                                                            dtype=np.int64)
         self._column_abs_sum = column_abs_sum
         max_centered = max(abs(input_qparams.qmin - zp),
                            abs(input_qparams.qmax - zp))
@@ -244,6 +253,16 @@ class FullyConnectedOp(Op):
         self._raw_abs_bound = int(raw_bound.max(initial=0))
         self._blas_exact = self._raw_abs_bound < _FLOAT64_EXACT_LIMIT
         self._blas_f32_exact = self._raw_abs_bound < _FLOAT32_EXACT_LIMIT
+
+    @functools.cached_property
+    def _weights_i64(self) -> np.ndarray:
+        """int64 weights for the integer fallback (built on first use)."""
+        return self.weights.astype(np.int64)
+
+    @functools.cached_property
+    def _weights_f64(self) -> np.ndarray:
+        """float64 weights for the BLAS path (built on first use)."""
+        return self.weights.astype(np.float64)
 
     @classmethod
     def from_float(cls, weights: np.ndarray, input_qparams: QuantParams,
@@ -392,8 +411,9 @@ class FullyConnectedOp(Op):
     def _gemm_operands(self) -> tuple:
         """Weights and folded offset widened to :attr:`gemm_dtype`.
 
-        The float32 copies are built lazily (only in-place callers need
-        them) and cached — weights are immutable.
+        Each widened copy is built on first use and cached — weights
+        are immutable; the float32 weights come straight from the int8
+        ones.
         """
         dtype = self.gemm_dtype
         if dtype == np.float64:
@@ -402,7 +422,7 @@ class FullyConnectedOp(Op):
             return self._weights_i64, self._offset_i64
         cached = self.__dict__.get("_gemm_operands_f32")
         if cached is None:
-            cached = (self._weights_f64.astype(np.float32),
+            cached = (self.weights.astype(np.float32),
                       self._offset_f64.astype(np.float32))
             self.__dict__["_gemm_operands_f32"] = cached
         return cached

@@ -15,6 +15,7 @@ dataset generator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,16 @@ _DTYPE_RANGES = {
     "int16": (-32768, 32767),
     "int32": (-(2**31), 2**31 - 1),
 }
+
+
+@functools.lru_cache(maxsize=256)
+def _dequantize_table(qparams: "QuantParams") -> np.ndarray:
+    """``qparams.dequantize`` of every int8 code, indexed by its uint8
+    view (shared and read-only; equal qparams hash alike)."""
+    codes = np.arange(256, dtype=np.uint8).view(np.int8)
+    table = qparams.dequantize(codes)
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -113,6 +124,24 @@ class QuantParams:
             (np.asarray(quantized, dtype=np.float64) - self.zero_point)
             * self.scale
         ).astype(np.float32)
+
+    def dequantize_into(self, codes: np.ndarray,
+                        out: np.ndarray) -> np.ndarray:
+        """:meth:`dequantize` int8 codes into a preallocated float32 array.
+
+        A gather from a 256-entry table whose entry for code ``q`` *is*
+        ``dequantize(q)``, so the result is bit-identical for any
+        qparams, with no float64 temporary the size of ``codes``.
+
+        Args:
+            codes: int8 codes (any strides).
+            out: float32 destination of the same shape.
+        """
+        if codes.dtype != np.int8:
+            raise TypeError(f"codes must be int8, got {codes.dtype}")
+        table = _dequantize_table(self)
+        # The uint8 view maps code q to q mod 256, the table's index.
+        return table.take(codes.view(np.uint8), out=out, mode="clip")
 
     def range(self) -> tuple[float, float]:
         """The representable real-value interval ``[rmin, rmax]``."""

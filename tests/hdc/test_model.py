@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.hdc import HDCClassifier, LinearEncoder, NonlinearEncoder
+from repro.hdc import (
+    AdaptiveHDCClassifier,
+    HDCClassifier,
+    LinearEncoder,
+    NonlinearEncoder,
+)
 
 
 def _blobs(num_samples=300, num_features=12, num_classes=3, seed=0, spread=4.0):
@@ -133,6 +138,27 @@ class TestTraining:
         a.fit(x, y, iterations=3, shuffle=False)
         b.fit(x, y, iterations=3, shuffle=False)
         np.testing.assert_array_equal(a.predict(x), b.predict(x))
+
+    @pytest.mark.parametrize("cls", [HDCClassifier, AdaptiveHDCClassifier])
+    def test_shuffled_pass_equals_prepermuted_pass(self, cls):
+        # A shuffled pass gathers each chunk's rows from the stored
+        # matrix; it must train exactly like an unshuffled pass over the
+        # matrix permuted up front (150 rows: the last chunk is short).
+        rng = np.random.default_rng(3)
+        hv = np.tanh(rng.standard_normal((150, 256))).astype(np.float32)
+        y = rng.integers(0, 4, size=150)
+        order = np.random.default_rng(21).permutation(len(y))
+        shuffled = cls(dimension=256, chunk_size=32,
+                       seed=np.random.default_rng(21))
+        shuffled.fit(hv, y, iterations=1, num_classes=4, encoded=True)
+        permuted = cls(dimension=256, chunk_size=32, seed=0)
+        permuted.fit(hv[order], y[order], iterations=1, num_classes=4,
+                     shuffle=False, encoded=True)
+        assert shuffled.class_hypervectors.tobytes() == \
+            permuted.class_hypervectors.tobytes()
+        assert shuffled.history.updates == permuted.history.updates
+        assert shuffled.history.train_accuracy == \
+            permuted.history.train_accuracy
 
 
 class TestPartialFit:

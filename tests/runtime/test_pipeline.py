@@ -1,12 +1,21 @@
 """Tests for the functional co-design pipelines (Fig. 1 / Fig. 3 flows)."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.hdc import BaggingConfig, HDCClassifier
+from repro import native
+from repro.config import PipelineConfig
+from repro.edgetpu import EdgeTpuDevice
+from repro.hdc import BaggingConfig, HDCClassifier, NonlinearEncoder
+from repro.nn.builder import encoder_network
+from repro.observability.trace import Tracer
 from repro.runtime import InferencePipeline, TrainingPipeline
-from repro.runtime.executor import ExecutorConfig
+from repro.runtime.executor import ExecutorConfig, WorkerPool
 from repro.runtime.pipeline import CompileCache
+from repro.runtime.profiler import PhaseProfiler
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +120,101 @@ class TestTrainingPipeline:
         np.testing.assert_array_equal(
             ra.fused.class_matrix, rb.fused.class_matrix
         )
+
+
+def _encode(pipeline, encoder, samples, calibration):
+    profiler = PhaseProfiler(Tracer(enabled=False))
+    encoded = pipeline._encode_on_device(encoder, samples, calibration,
+                                         profiler)
+    return encoded, profiler
+
+
+def _stage_loop_encode(pipeline, encoder, samples, calibration):
+    """The encode through the device's default stage loop, chunk by
+    chunk, then one whole-matrix ``QuantParams.dequantize``; returns the
+    hypervectors and the modeled seconds the pipeline should charge."""
+    flat, compiled, _ = pipeline.compile_cache.get_or_compile(
+        encoder_network(encoder), calibration[:256], pipeline.arch,
+        "encoder",
+    )
+    device = EdgeTpuDevice(pipeline.arch)
+    device.load_model(compiled)
+    quantized = flat.input_spec.qparams.quantize(samples)
+    pieces, seconds = [], 0.0
+    for start in range(0, len(samples), pipeline.train_batch):
+        result = device.invoke(quantized[start:start + pipeline.train_batch])
+        pieces.append(result.outputs)
+        seconds += result.elapsed_s
+    codes = np.vstack(pieces)
+    seconds += pipeline.host.elementwise_seconds(codes.size)
+    return compiled.tpu_ops[-1].output_qparams.dequantize(codes), seconds
+
+
+class TestDeviceEncode:
+    """The training encode streams chunks through a private ModelPlan
+    and dequantizes into one preallocated matrix."""
+
+    @pytest.fixture
+    def setup(self, ds):
+        pipeline = TrainingPipeline(PipelineConfig(dimension=512,
+                                                   train_batch=64, seed=0))
+        encoder = NonlinearEncoder(ds.num_features, 512, seed=3)
+        # 150 rows: chunks of 64, 64 and a short last chunk of 22.
+        return pipeline, encoder, ds.train_x[:150], ds.train_x
+
+    @pytest.mark.parametrize("allow_native", [True, False])
+    def test_matches_stage_loop_byte_for_byte(self, setup, allow_native,
+                                              monkeypatch):
+        if not allow_native:
+            monkeypatch.setattr(native, "available", lambda: False)
+        pipeline, encoder, samples, calibration = setup
+        expected, seconds = _stage_loop_encode(pipeline, encoder, samples,
+                                               calibration)
+        encoded, profiler = _encode(pipeline, encoder, samples, calibration)
+        assert encoded.dtype == np.float32
+        assert encoded.shape == expected.shape == (150, 512)
+        assert encoded.tobytes() == expected.tobytes()
+        # Same invokes at the same row counts, same dequantize charge.
+        assert profiler.seconds("encode") == seconds
+
+    def test_concurrent_encodes_share_one_compiled_encoder(self, setup):
+        # Thread tasks handed the same compiled encoder (a cache hit)
+        # each stream through their own arenas.
+        pipeline, encoder, samples, calibration = setup
+        expected, _ = _encode(pipeline, encoder, samples, calibration)
+        pool = WorkerPool(4, backend="thread")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads finely
+        try:
+            results = pool.map(
+                lambda rows: _encode(pipeline, encoder, rows,
+                                     calibration)[0],
+                [samples] * 8,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert pipeline.compile_cache.misses == 1
+        for encoded in results:
+            assert encoded.tobytes() == expected.tobytes()
+
+    def test_peak_allocation_near_the_output(self, ds):
+        # Only the output matrix grows with the sample count: arenas are
+        # chunk-sized, and there is no whole-matrix quantize, stacking or
+        # float64 dequantize temporary (those put the peak above 3x).
+        rng = np.random.default_rng(5)
+        samples = rng.standard_normal((4096, 32)).astype(np.float32)
+        pipeline = TrainingPipeline(PipelineConfig(dimension=512,
+                                                   train_batch=128, seed=0))
+        encoder = NonlinearEncoder(32, 512, seed=4)
+        _encode(pipeline, encoder, samples[:256], samples)  # compile once
+        tracemalloc.start()
+        try:
+            encoded, _ = _encode(pipeline, encoder, samples, samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pipeline.compile_cache.hits == 1
+        assert peak < 1.5 * encoded.nbytes
 
 
 class TestInferencePipeline:

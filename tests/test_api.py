@@ -9,6 +9,7 @@ import repro
 from repro.api import Deployment, Result
 from repro.config import PipelineConfig, ServeConfig
 from repro.edgetpu.multidevice import DevicePool
+from repro.hdc import BaggingConfig
 from repro.runtime.executor import ExecutorConfig
 from repro.runtime.pipeline import InferencePipeline, TrainingPipeline
 from repro.serving.arrivals import Request
@@ -134,6 +135,29 @@ class TestFacade:
             direct.fused.class_matrix, trained.fused.class_matrix
         )
         assert direct.profiler.breakdown() == trained.profiler.breakdown()
+
+    def test_bagged_train_bit_identical_across_thread_workers(self, data):
+        # Concurrent sub-model tasks each encode through a private plan:
+        # four thread workers train exactly what one does (subsets of 48
+        # rows stream as chunks of 20, 20 and 8).
+        x, y = data
+        results = [
+            repro.train(x, y, config=PipelineConfig(
+                dimension=256, train_batch=20, seed=5,
+                bagging=BaggingConfig(num_models=4, dimension=256,
+                                      iterations=2),
+                executor=ExecutorConfig(workers=workers, backend="thread"),
+            ))
+            for workers in (1, 4)
+        ]
+        serial, threaded = results
+        for name in ("base_matrix", "class_matrix"):
+            assert getattr(serial.fused, name).tobytes() == \
+                getattr(threaded.fused, name).tobytes()
+        summaries = [{k: v for k, v in r.summary().items() if k != "parallel"}
+                     for r in results]
+        assert summaries[0] == summaries[1]
+        assert threaded.parallel.workers == 4
 
     def test_lazy_top_level_exports(self):
         assert repro.PipelineConfig is PipelineConfig

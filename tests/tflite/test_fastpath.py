@@ -24,7 +24,7 @@ from repro.tflite.ops import (
     TanhOp,
     fused_stages,
 )
-from repro.tflite.quantization import qparams_asymmetric
+from repro.tflite.quantization import QuantParams, qparams_asymmetric
 from repro.tflite.tensor import TensorSpec
 
 
@@ -138,6 +138,33 @@ class TestFastPathEquivalence:
             op.weights[0, 0] = 0
         with pytest.raises(ValueError):
             op.bias[0] = 0
+
+    def test_widened_weights_built_on_first_use(self, rng):
+        op = _random_fc(rng, 40, 9, zero_point=5, bias=True)
+        assert "_weights_i64" not in op.__dict__
+        assert "_weights_f64" not in op.__dict__
+        wide = op.weights.astype(np.int64)
+        np.testing.assert_array_equal(op._column_sum, wide.sum(axis=0))
+        np.testing.assert_array_equal(op._column_abs_sum,
+                                      np.abs(wide).sum(axis=0))
+        assert op._column_sum.dtype == op._column_abs_sum.dtype == np.int64
+        # The float32 GEMM operands come from the int8 weights directly.
+        weights_f32, _ = op._gemm_operands()
+        assert weights_f32.dtype == np.float32
+        assert "_weights_f64" not in op.__dict__
+        np.testing.assert_array_equal(weights_f32, wide)
+        op.run(_adversarial_inputs(rng, 3, 40))
+        assert op._weights_f64 is op._weights_f64  # cached
+        assert "_weights_i64" not in op.__dict__
+
+    def test_column_abs_sum_of_most_negative_weight(self):
+        # |-128| overflows int8; the sums widen before taking it.
+        weights = np.full((3, 2), -128, dtype=np.int8)
+        op = FullyConnectedOp(weights, qparams_asymmetric(-4.0, 4.0),
+                              QuantParams(1.0, 0),
+                              qparams_asymmetric(-30.0, 30.0))
+        np.testing.assert_array_equal(op._column_abs_sum, [384, 384])
+        np.testing.assert_array_equal(op._column_sum, [-384, -384])
 
 
 class TestFusedStages:

@@ -54,6 +54,35 @@ class TestQuantParams:
             QuantParams(scale=1.0, zero_point=0, dtype="float8")
 
 
+class TestDequantizeInto:
+    @given(scale=st.floats(1e-12, 1e6, allow_subnormal=False),
+           zero_point=st.integers(-128, 127))
+    @settings(max_examples=80, deadline=None)
+    def test_table_equals_dequantize_on_every_code(self, scale, zero_point):
+        qp = QuantParams(scale=scale, zero_point=zero_point)
+        codes = np.arange(-128, 128, dtype=np.int8)
+        out = np.full(256, np.nan, dtype=np.float32)
+        assert qp.dequantize_into(codes, out) is out
+        assert out.tobytes() == qp.dequantize(codes).tobytes()
+
+    def test_strided_codes_into_a_slice(self, rng):
+        # The plan's native output is a column-trimmed view; the
+        # destination is a row slice of a larger matrix.
+        qp = QuantParams(scale=0.013, zero_point=-7)
+        padded = rng.integers(-128, 128, size=(5, 40)).astype(np.int8)
+        codes = padded[:, :33]
+        matrix = np.zeros((9, 33), dtype=np.float32)
+        qp.dequantize_into(codes, matrix[2:7])
+        assert matrix[2:7].tobytes() == qp.dequantize(codes).tobytes()
+        assert not matrix[:2].any() and not matrix[7:].any()
+
+    def test_rejects_wider_codes(self):
+        qp = QuantParams(scale=1.0, zero_point=0)
+        with pytest.raises(TypeError, match="int8"):
+            qp.dequantize_into(np.zeros(4, dtype=np.int16),
+                               np.zeros(4, dtype=np.float32))
+
+
 class TestAsymmetric:
     def test_covers_range(self):
         qp = qparams_asymmetric(-2.0, 6.0)
